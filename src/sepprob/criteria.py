@@ -6,8 +6,43 @@ has measure zero under every sampled measure, so this cannot bias the
 estimates, and the symmetric tolerance avoids one-sided rounding drift.
 Ties in the strict determinant and spectrum inequalities classify False
 (also measure-zero).
-"""
 
+The reference path (``_classify_eigvalsh``) applies that rule to LAPACK
+spectra of rho^PT and rho.  ``classify_batch`` reaches the same verdicts
+from an unpivoted LDL^H factorisation A = L D L^H of A = rho^PT: by
+Sylvester's law of inertia A has as many negative eigenvalues as D has
+negative pivots, and det A is the pivot product.  A row's pivots are
+trusted only under this certificate:
+
+* The computed factors are exact for A + E, E Hermitian with
+  |E| <= gamma |L||D||L^H| (elimination without pivoting), so
+  ||E||_2 <= gamma g with g = sum_k |d_k| ||l_k||^2.  gamma <= ROUNDING
+  (c n u with c <= 100, n <= 64), which also bounds LAPACK's eigenvalue
+  error per unit ||A||_2 <= ||rho||_F <= 1.
+* |det| is |lambda|_min times the other n-1 moduli, and by AM-GM those
+  multiply to at most (||A + E||_F^2 / (n-1))^((n-1)/2).  So every
+  eigenvalue of A + E has modulus >= mu = |prod d| ((n-1)/F^2)^((n-1)/2),
+  F = ||A||_F + sqrt(n) ROUNDING g.  (Ostrowski's |lambda|_min >=
+  sigma_min(L)^2 min|d| needs a bound on sigma_min(L); unpivoted LDL^H of
+  an indefinite matrix grows L, and such bounds left most rows uncertified.)
+* Certified means finite pivots and mu >= CERT_FLOOR (1 + g).  Then
+  ||E|| <= 1e-3 mu, so by Weyl no eigenvalue crosses zero between A + E
+  and A, and every eigenvalue of A, and every LAPACK eigenvalue, is at
+  least ~1e-9 >> PSD_TOL away from zero: the pivot signs give exactly the
+  count the reference rule gives.
+
+On certified rows the spectrum of rho is computed only where it is
+needed: eigvalsh(rho) on PPT rows (Johnston test and det(rho)); a second
+certified LDL^H of rho gives det(rho) on rows with an even, nonzero
+negative count, or eigvalsh(rho) where that factorisation is uncertified
+(rank-deficient k < 0); an odd count has det(rho^PT) < 0 <= det(rho).
+The reference's det(rho) sits below zero only by rounding, at most
+ROUNDING (n-1)^(1-n), and rows whose determinants lie within that plus
+DET_TIE_RTOL (relative) of a tie are not certified.  That relative margin
+is a practical one, far above the few-ulp error either determinant
+carries on certified rows, not a worst-case bound.  Every uncertified row
+takes the reference path.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,6 +52,10 @@ import numpy as np
 from .linalg import DensityMatrix, Spectrum, partial_transpose_batch
 
 PSD_TOL = 1e-13  # scaled by the (unit) trace
+ROUNDING = 1e-12  # c n u, c <= 100, n <= 64: backward error per unit scale
+CERT_FLOOR = 1e-9  # least certified |eigenvalue| per unit of LDL^H growth
+LDL_BLOCK = 1024  # matrices per block; smaller than one 65,536-row (count, n) row
+DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
 
 
 @dataclass(frozen=True)
@@ -49,13 +88,15 @@ def johnston_from_spectrum(s, m: int) -> bool:
     return bool(lam[0] < lam[2 * m - 2] + 2.0 * np.sqrt(prod))
 
 
-def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
-    """Vectorized verdicts for a stack of states (the Monte Carlo hot path).
+def _johnston_rows(rho_eigs: np.ndarray, n: int) -> np.ndarray:
+    """Batched :func:`johnston_from_spectrum` on ascending LAPACK spectra."""
+    lam = rho_eigs[:, ::-1]  # descending
+    prod = np.clip(lam[:, n - 3], 0.0, None) * np.clip(lam[:, n - 1], 0.0, None)
+    return lam[:, 0] < lam[:, n - 2] + 2.0 * np.sqrt(prod)
 
-    Returns boolean/int arrays: is_ppt, neg_pt_eigs, det_gt, johnston.
-    The johnston entry is already PPT-conditioned; for systems with no
-    two-level factor it is identically False.
-    """
+
+def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
+    """Reference path: full spectra of rho^PT and rho for every row."""
     pt = partial_transpose_batch(rhos, dA, dB, side="B")
     pt_eigs = np.linalg.eigvalsh(pt)
     rho_eigs = np.linalg.eigvalsh(rhos)
@@ -65,13 +106,89 @@ def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
     det_pt = np.prod(pt_eigs, axis=-1)
     det_gt = det_pt > det_rho
     if dA == 2 or dB == 2:
-        n = dA * dB
-        lam = rho_eigs[:, ::-1]  # descending
-        prod = np.clip(lam[:, n - 3], 0.0, None) * np.clip(lam[:, n - 1], 0.0, None)
-        johnston = lam[:, 0] < lam[:, n - 2] + 2.0 * np.sqrt(prod)
-        johnston &= is_ppt
+        johnston = _johnston_rows(rho_eigs, dA * dB) & is_ppt
     else:
         johnston = np.zeros(rhos.shape[0], dtype=bool)
+    return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
+            "johnston": johnston}
+
+
+def _ldl_inertia(stack: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unpivoted LDL^H of the Hermitian matrices ``stack[rows]``.
+
+    Returns the negative-pivot count, the pivot product det(A) and a per-row
+    certificate that the count is the one the eigvalsh reference would
+    report (see the module notes).  The stack is factored LDL_BLOCK matrices
+    at a time, each block copied matrix-index-major so that every update
+    runs along the block; ``stack`` itself is left untouched.
+    """
+    n = stack.shape[-1]
+    piv = np.empty((n, rows.size))
+    fro2 = np.empty(rows.size)  # ||A||_F^2
+    growth = np.zeros(rows.size)  # sum_k |d_k| ||l_k||^2 >= || |L||D||L^H| ||_2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, rows.size, LDL_BLOCK):
+            blk = slice(s, s + LDL_BLOCK)
+            a = np.ascontiguousarray(stack[rows[blk]].transpose(1, 2, 0))
+            fro2[blk] = np.square(np.abs(a)).sum(axis=(0, 1))
+            for j in range(n):
+                d = a[j, j].real
+                piv[j, blk] = d
+                u = a[j, j + 1:] / d  # row j of L^H
+                growth[blk] += np.abs(d) * (1.0 + np.square(np.abs(u)).sum(axis=0))
+                for i in range(j + 1, n):
+                    a[i, i:] -= a[j, i].conj() * u[i - j - 1:]
+        det = np.prod(piv, axis=0)
+        # |det| over the AM-GM bound on the other n-1 singular values
+        fro = np.sqrt(fro2) + np.sqrt(n) * ROUNDING * growth
+        mu = np.abs(det) * ((n - 1) / fro**2) ** ((n - 1) / 2)
+        cert = (mu >= CERT_FLOOR * (1.0 + growth)) & np.isfinite(piv).all(axis=0)
+    return np.count_nonzero(piv < 0, axis=0), det, cert
+
+
+def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
+    """Vectorized verdicts for a stack of states (the Monte Carlo hot path).
+
+    Returns boolean/int arrays: is_ppt, neg_pt_eigs, det_gt, johnston.
+    The johnston entry is already PPT-conditioned; for systems with no
+    two-level factor it is identically False.  Rows the LDL^H certificate
+    cannot settle take the eigvalsh reference path (see the module notes).
+    """
+    n = dA * dB
+    neg, det_pt, cert = _ldl_inertia(partial_transpose_batch(rhos, dA, dB, side="B"),
+                                     np.arange(rhos.shape[0]))
+    is_ppt = neg == 0
+    # odd counts keep det(rho) = 0 here: det(rho^PT) < 0 <= det(rho)
+    det_rho = np.zeros(rhos.shape[0])
+    johnston = np.zeros(rhos.shape[0], dtype=bool)
+    need_spectrum = cert & is_ppt
+
+    rows = np.flatnonzero(cert & (neg > 0) & (neg % 2 == 0))
+    if rows.size:
+        _, det_rho[rows], rho_cert = _ldl_inertia(rhos, rows)
+        need_spectrum[rows[~rho_cert]] = True
+
+    rows = np.flatnonzero(need_spectrum)
+    if rows.size:
+        rho_eigs = np.linalg.eigvalsh(rhos[rows])
+        det_rho[rows] = np.prod(rho_eigs, axis=-1)
+        if dA == 2 or dB == 2:
+            johnston[rows] = _johnston_rows(rho_eigs, n) & is_ppt[rows]
+
+    # the reference's det(rho) is off by rounding, and dips below zero by at
+    # most ROUNDING (n-1)^(1-n); rows that close to a tie take the reference
+    gap = np.abs(det_pt - det_rho)
+    cert &= gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
+                   + ROUNDING * (n - 1.0) ** (1 - n))
+    det_gt = det_pt > det_rho
+
+    rows = np.flatnonzero(~cert)
+    if rows.size:
+        ref = _classify_eigvalsh(rhos[rows], dA, dB)
+        neg[rows] = ref["neg_pt_eigs"]
+        is_ppt[rows] = ref["is_ppt"]
+        det_gt[rows] = ref["det_gt"]
+        johnston[rows] = ref["johnston"]
     return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
             "johnston": johnston}
 

@@ -188,19 +188,6 @@ def p_2quaterbits(k: int) -> Fraction:
 # the interpolation formula u(eta)
 # ---------------------------------------------------------------------------
 
-def _u_closed_raw(eta: mpmath.mpf) -> mpmath.mpf:
-    """The closed-form expression away from the removable eta in {0, 1}."""
-    a = -3 * eta * (eta + 4) * ((eta - 6) * eta - 15)
-    b = (mpmath.mpf(16) ** (2 * eta + 3) * ((eta - 10) * eta - 5)
-         * mpmath.gamma(eta + mpmath.mpf(3) / 2)
-         * mpmath.gamma(eta + mpmath.mpf(5) / 2) ** 3
-         * mpmath.rgamma(4 * eta + 5)
-         / (mpmath.pi ** 2 * (2 * eta + 3)))
-    num = -(a + b + 60)
-    den = 3 * (eta - 1) ** 2 * eta ** 2
-    return num / den
-
-
 def _u_numerator(eta: mpmath.mpf) -> mpmath.mpf:
     a = -3 * eta * (eta + 4) * ((eta - 6) * eta - 15)
     b = (mpmath.mpf(16) ** (2 * eta + 3) * ((eta - 10) * eta - 5)
@@ -232,7 +219,7 @@ def u_closed(eta, dps: int = 50) -> mpmath.mpf:
                       - 2 * _u_numerator(e)) / (2 * h * h)
                 out = c2 / 3
             return +out
-        return +_u_closed_raw(e)
+        return _u_numerator(e) / (3 * (e - 1) ** 2 * e ** 2)
 
 
 # ---------------------------------------------------------------------------

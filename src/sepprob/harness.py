@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -99,19 +100,6 @@ class TrialTally:
         out["wall_time"] = self.wall_time
         return out
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "TrialTally":
-        return cls(
-            samples=payload["samples"],
-            ppt_hits=payload["ppt_hits"],
-            johnston_hits=payload["johnston_hits"],
-            det_gt_hits_given_ppt=payload["det_gt_hits_given_ppt"],
-            neg_eig_histogram=list(payload["neg_eig_histogram"]),
-            seed=payload.get("seed", 0),
-            stream_ids=list(payload.get("stream_ids", [])),
-            wall_time=payload.get("wall_time", 0.0),
-        )
-
 
 @dataclass
 class ExperimentConfig:
@@ -181,15 +169,33 @@ def _chunk_to_tally(row: dict, seed: int) -> TrialTally:
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, int], dict]:
+    """Completed chunk rows keyed by (stream_id, chunk_index).
+
+    An unparsable last line, as a crash mid-write leaves it, is dropped with
+    a warning and cut from the file, so that the next row appended starts on
+    a line of its own.  An unparsable line anywhere else raises.
+    """
     done = {}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
+    if not os.path.exists(path):
+        return done
+    with open(path, "rb+") as fh:
+        lines = fh.readlines()
+        complete = 0  # byte length of the lines accepted so far
+        for i, line in enumerate(lines):
+            if line.strip():
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    if i < len(lines) - 1:
+                        raise
+                    warnings.warn(f"dropping the torn last line of checkpoint {path}")
+                    fh.truncate(complete)
+                    break
                 done[(row["stream_id"], row["chunk_index"])] = row
+            complete += len(line)
+        else:
+            if lines and not lines[-1].endswith(b"\n"):
+                fh.write(b"\n")
     return done
 
 
@@ -202,6 +208,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     t0 = time.perf_counter()
     grid = _chunk_grid(cfg)
     done = _load_checkpoint(cfg.checkpoint) if cfg.checkpoint else {}
+    expected = {(s, c): n for s, c, n in grid}
+    for (s, c), row in done.items():
+        if expected.get((s, c)) != row["samples"]:
+            raise ValueError(
+                f"checkpoint {cfg.checkpoint} holds stream {s} chunk {c} with "
+                f"{row['samples']} samples, which is not on this run's chunk "
+                f"grid ({cfg.target_samples} samples over {cfg.streams} streams)")
     pending = [g for g in grid if (g[0], g[1]) not in done]
     rows = [done[(s, c)] for (s, c, _n) in grid if (s, c) in done]
 

@@ -18,7 +18,7 @@ double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +66,18 @@ class RandomStream:
 
     Streams with distinct (seed, stream_id, counter) keys are statistically
     independent; identical keys reproduce identical draws bit for bit.
-    ``stream_id`` and ``counter`` must each fit in 32 bits.
+    ``seed`` must fit in 64 bits and ``stream_id`` and ``counter`` in 32.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} must satisfy 0 <= seed < 2**64")
         if not (0 <= stream_id < 2**32 and 0 <= counter < 2**32):
             raise ValueError("stream_id and counter must fit in 32 bits")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.counter = int(counter)
-        key = np.array([self.seed % 2**64, (self.stream_id << 32) | self.counter],
+        key = np.array([self.seed, (self.stream_id << 32) | self.counter],
                        dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -289,7 +291,3 @@ def sample_batch(spec: SamplerSpec, stream: RandomStream, count: int) -> np.ndar
     if spec.family == "full":
         return sample_induced_batch(spec, stream, count)
     return sample_x_state_batch(spec, stream, count)
-
-
-def with_stream(spec: SamplerSpec, stream_id: int) -> SamplerSpec:
-    return replace(spec, stream_id=stream_id)

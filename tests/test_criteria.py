@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sepprob import criteria
 from sepprob.criteria import (
     SampleVerdict,
     classify,
@@ -11,7 +12,14 @@ from sepprob.criteria import (
     johnston_from_spectrum,
 )
 from sepprob.linalg import DensityMatrix, Spectrum
-from sepprob.sampling import SamplerSpec, sample_induced_batch, stream_for
+from sepprob.harness import ExperimentConfig, run_experiment
+from sepprob.sampling import (
+    RandomStream,
+    SamplerSpec,
+    sample_batch,
+    sample_induced_batch,
+    stream_for,
+)
 
 
 def bell():
@@ -122,3 +130,91 @@ def test_classify_batch_matches_scalar_path():
         assert v.neg_pt_eigs == int(out["neg_pt_eigs"][i])
         assert v.det_pt_gt_det == bool(out["det_gt"][i])
         assert v.johnston_separable == bool(out["johnston"][i])
+
+
+# ---------------------------------------------------------------------------
+# the LDL^H inertia path against the eigvalsh reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def reference_rows(monkeypatch):
+    """Counts the rows each classify_batch call sends to the reference path."""
+    seen = []
+    reference = criteria._classify_eigvalsh
+
+    def recording(rhos, dA, dB):
+        seen.append(rhos.shape[0])
+        return reference(rhos, dA, dB)
+
+    monkeypatch.setattr(criteria, "_classify_eigvalsh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("field,split,k,family,count", [
+    ("C", (2, 3), 0, "full", 65_536),
+    ("C", (2, 2), 0, "full", 4096),
+    ("R", (2, 2), 0, "full", 4096),
+    ("C", (2, 3), -2, "full", 4096),
+    ("R", (2, 3), -2, "full", 4096),
+    ("R", (2, 3), 0, "full", 4096),
+    ("C", (2, 4), 0, "full", 4096),
+    ("R", (2, 4), 0, "full", 4096),
+    ("C", (3, 3), 0, "full", 4096),
+    ("R", (2, 2), 1, "x_state", 4096),
+    ("R", (2, 3), 1, "x_state", 4096),
+])
+def test_classify_batch_matches_eigvalsh_reference(field, split, k, family, count,
+                                                   reference_rows):
+    spec = SamplerSpec(field=field, n=split[0] * split[1], split=split, k=k,
+                       family=family, seed=77)
+    rhos = sample_batch(spec, RandomStream(77), count)
+    expected = criteria._classify_eigvalsh(rhos, *split)
+    reference_rows.clear()
+    out = classify_batch(rhos, *split)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), key
+    # the inertia path, not the fallback, settled almost every row
+    assert sum(reference_rows) <= count // 100
+
+
+def _pure(psi):
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("name,rho,split", [
+    ("zero leading entry", np.diag([0.0, 1, 1, 1]) / 3, (2, 2)),
+    ("pure product", _pure(np.kron([0.6, 0.8j], [1, 2 - 1j, 0.5])), (2, 3)),
+    ("maximally mixed", np.eye(6) / 6, (2, 3)),
+    ("Bell", _pure(np.array([1.0, 0, 0, 1])), (2, 2)),
+])
+def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
+    rhos = np.asarray(rho, dtype=complex)[None]
+    out = classify_batch(rhos, *split)
+    assert reference_rows == [1], name
+    expected = criteria._classify_eigvalsh(rhos, *split)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), (name, key)
+
+
+# counts_dict of two 65,536-sample chunks (streams=2, seed 2027), recorded
+# with the eigvalsh-only classifier; the inertia path must reproduce them
+GOLDEN_TALLIES = [
+    ("C", (2, 3), 0, "full", 3490, 0, 1774, [3490, 123632, 3950, 0, 0, 0, 0]),
+    ("C", (2, 3), -2, "full", 16, 0, 16, [16, 102575, 28481, 0, 0, 0, 0]),
+    ("R", (2, 4), 0, "full", 3254, 0, 1622, [3254, 93224, 34587, 7, 0, 0, 0, 0, 0]),
+    ("C", (3, 3), 0, "full", 13, 0, 6, [13, 47971, 82482, 606, 0, 0, 0, 0, 0, 0]),
+    ("R", (2, 3), 1, "x_state", 100775, 10244, 43202, [100775, 30297, 0, 0, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("field,split,k,family,ppt,johnston,det_gt,hist", GOLDEN_TALLIES)
+def test_golden_tallies(field, split, k, family, ppt, johnston, det_gt, hist):
+    spec = SamplerSpec(field=field, n=split[0] * split[1], split=split, k=k,
+                       family=family, seed=2027)
+    tally, _ = run_experiment(ExperimentConfig(sampler=spec, target_samples=131_072,
+                                               streams=2))
+    assert tally.counts_dict() == {
+        "samples": 131_072, "ppt_hits": ppt, "johnston_hits": johnston,
+        "det_gt_hits_given_ppt": det_gt, "neg_eig_histogram": hist,
+        "seed": 2027, "stream_ids": [0, 1]}

@@ -148,6 +148,35 @@ def test_checkpoint_resume(tmp_path):
     assert tally1.counts_dict() == tally3.counts_dict()
 
 
+def test_checkpoint_rows_must_match_the_grid(tmp_path):
+    # a 70,000-sample checkpoint resumed at 1,000 samples used to report
+    # the first run's 65,536-sample chunk
+    path = tmp_path / "ckpt.jsonl"
+    run_experiment(small_cfg(target_samples=70_000, streams=1, checkpoint=str(path)))
+    with pytest.raises(ValueError, match="chunk grid"):
+        run_experiment(small_cfg(target_samples=1_000, streams=1, checkpoint=str(path)))
+    with pytest.raises(ValueError, match="chunk grid"):
+        run_experiment(small_cfg(target_samples=70_000, streams=2, checkpoint=str(path)))
+
+
+def test_checkpoint_torn_last_line(tmp_path):
+    path = tmp_path / "ckpt.jsonl"
+    fresh, _ = run_experiment(small_cfg())
+    run_experiment(small_cfg(checkpoint=str(path)))
+    kept = path.read_text().splitlines()[:2]
+    path.write_text("".join(line + "\n" for line in kept) + '{"stream_id": 0, "chunk_in')
+    with pytest.warns(UserWarning, match="torn"):
+        resumed, _ = run_experiment(small_cfg(checkpoint=str(path)))
+    assert resumed.counts_dict() == fresh.counts_dict()
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert sum(r["samples"] for r in rows) == 150_000
+    # an unparsable line before the last one is not a torn write
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + ["{not json"] + lines[1:]) + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        run_experiment(small_cfg(checkpoint=str(path)))
+
+
 def test_equipartition_report_smoke():
     report = equipartition_report(small_cfg())
     eq = report["equipartition"]

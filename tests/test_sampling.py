@@ -54,6 +54,15 @@ def test_induced_determinism():
     assert not np.array_equal(a.entries, c.entries)
 
 
+def test_random_stream_seed_range():
+    # no reduction mod 2^64: out-of-range seeds would alias in-range ones
+    for bad in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            RandomStream(bad)
+    top = RandomStream(2**64 - 1).generator.standard_normal(4)
+    assert not np.array_equal(top, RandomStream(1).generator.standard_normal(4))
+
+
 def test_induced_rank_deficit_for_negative_k():
     # rank is bounded by the Ginibre column count: n + k over C,
     # n + 1 + 2k over R (the det^k-weight convention)
