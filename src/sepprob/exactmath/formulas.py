@@ -271,12 +271,16 @@ def master_chi_coefficients(d: int) -> list[Fraction]:
     return [scale * c for c in f]
 
 
-def master_chi(d: int, eps, series_rtol: float = 1e-18):
+def master_chi(d: int, eps):
     """Hilbert-Schmidt master formula chi_{d,0}(eps) for positive integer d.
 
     Even d terminates and is evaluated from exact coefficients.  Odd d is a
-    convergent infinite series for eps < 1, truncated under a geometric
-    tail certificate; the slowly convergent eps = 1 endpoint goes through
+    convergent infinite series for eps < 1, summed in numpy term blocks by
+    :func:`sepprob.hyper.hyp3f2_reg_series`: pairwise within a block,
+    error-free across blocks, and truncated at the first term whose
+    geometric tail bound is at most float64 unit roundoff times the partial
+    sum (``hyper.SERIES_RTOL``).  It agrees with 50-digit values to about
+    1e-15 relative.  The slowly convergent eps = 1 endpoint goes through
     mpmath's accelerated evaluation.
     """
     d = _require_int("d", d)
@@ -300,7 +304,7 @@ def master_chi(d: int, eps, series_rtol: float = 1e-18):
     out = np.empty_like(e2)
     at_one = e2 >= 1.0
     if np.any(~at_one):
-        out[~at_one] = hyper.hyp3f2_reg_series(a, b, e2[~at_one], rtol=series_rtol)
+        out[~at_one] = hyper.hyp3f2_reg_series(a, b, e2[~at_one])
     if np.any(at_one):
         out[at_one] = hyper.hyp3f2_reg_endpoint(a, b)
     out = eps_arr ** d * scale * out

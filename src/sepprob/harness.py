@@ -16,20 +16,23 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+import scipy
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm as norm_dist
 
 from .criteria import classify_batch
 from .exactmath import CatalogMiss, chi_catalog, is_prime
 from .linalg import epsilon_ratio_batch_2x2
-from .sampling import RandomStream, SamplerSpec, sample_batch
+from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch
 
 CHUNK_SAMPLES = 65_536
 CP_FALLBACK_HITS = 30  # below this many hits (or misses), Wald is unreliable
@@ -40,6 +43,10 @@ def build_info() -> dict:
     return {
         "sepprob": __version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "mpmath": mpmath.__version__,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "normals": "float64 (standard double precision)",
     }
 
@@ -125,6 +132,20 @@ def stream_quotas(total: int, streams: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(streams)]
 
 
+def pool_size(threads: int, pending: int, cores: int) -> int:
+    """Worker processes for a grid: min(threads, pending chunks, usable cores).
+
+    One means the grid runs serially, in this process.
+    """
+    return max(1, min(threads, pending, cores))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunk_grid(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     """(stream_id, chunk_index, chunk_samples) covering the whole budget."""
     grid = []
@@ -168,18 +189,40 @@ def _chunk_to_tally(row: dict, seed: int) -> TrialTally:
     )
 
 
-def _load_checkpoint(path: str) -> dict[tuple[int, int], dict]:
+def _checkpoint_fingerprint(cfg: ExperimentConfig) -> dict:
+    """Everything that decides a checkpoint's rows, for its header line."""
+    from . import __version__
+    spec = cfg.sampler
+    return {
+        "field": spec.field,
+        "split": list(spec.split),
+        "k": spec.k,
+        "family": spec.family,
+        "seed": spec.seed,
+        "streams": cfg.streams,
+        "target_samples": cfg.target_samples,
+        "chunk_samples": CHUNK_SAMPLES,
+        "sampler_version": SAMPLER_VERSION,
+        "sepprob": __version__,
+    }
+
+
+def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict]:
     """Completed chunk rows keyed by (stream_id, chunk_index).
 
-    An unparsable last line, as a crash mid-write leaves it, is dropped with
-    a warning and cut from the file, so that the next row appended starts on
-    a line of its own.  An unparsable line anywhere else raises.
+    The first line is a header, ``{"fingerprint": ...}``, written by
+    :func:`run_experiment`; a file whose header is missing or differs from
+    ``fingerprint`` raises ``ValueError``.  An unparsable last line, as a
+    crash mid-write leaves it, is dropped with a warning and cut from the
+    file, so that the next line appended starts on a line of its own.  An
+    unparsable line anywhere else raises.
     """
     done = {}
     if not os.path.exists(path):
         return done
     with open(path, "rb+") as fh:
         lines = fh.readlines()
+        header = None
         complete = 0  # byte length of the lines accepted so far
         for i, line in enumerate(lines):
             if line.strip():
@@ -191,11 +234,24 @@ def _load_checkpoint(path: str) -> dict[tuple[int, int], dict]:
                     warnings.warn(f"dropping the torn last line of checkpoint {path}")
                     fh.truncate(complete)
                     break
-                done[(row["stream_id"], row["chunk_index"])] = row
+                if header is None:
+                    header = row
+                else:
+                    done[(row["stream_id"], row["chunk_index"])] = row
             complete += len(line)
         else:
             if lines and not lines[-1].endswith(b"\n"):
                 fh.write(b"\n")
+    if header is None:
+        return done
+    theirs = header.get("fingerprint") if isinstance(header, dict) else None
+    if not isinstance(theirs, dict):
+        raise ValueError(f"checkpoint {path} has no fingerprint header")
+    diffs = [f"{key} {theirs.get(key)!r} there, {value!r} here"
+             for key, value in fingerprint.items() if theirs.get(key) != value]
+    if diffs:
+        raise ValueError(f"checkpoint {path} was written for another config or "
+                         f"chunk grid: {'; '.join(diffs)}")
     return done
 
 
@@ -207,7 +263,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     """
     t0 = time.perf_counter()
     grid = _chunk_grid(cfg)
-    done = _load_checkpoint(cfg.checkpoint) if cfg.checkpoint else {}
+    fingerprint = _checkpoint_fingerprint(cfg)
+    done = _load_checkpoint(cfg.checkpoint, fingerprint) if cfg.checkpoint else {}
     expected = {(s, c): n for s, c, n in grid}
     for (s, c), row in done.items():
         if expected.get((s, c)) != row["samples"]:
@@ -219,8 +276,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     rows = [done[(s, c)] for (s, c, _n) in grid if (s, c) in done]
 
     ckpt_fh = open(cfg.checkpoint, "a") if cfg.checkpoint else None
+    workers = pool_size(cfg.threads, len(pending), _usable_cores())
     try:
-        if cfg.threads <= 1:
+        if ckpt_fh and ckpt_fh.tell() == 0:
+            ckpt_fh.write(json.dumps({"fingerprint": fingerprint}) + "\n")
+            ckpt_fh.flush()
+        if workers <= 1:
             for s, c, n in pending:
                 row = _experiment_chunk(cfg.sampler, s, c, n)
                 rows.append(row)
@@ -228,7 +289,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
                     ckpt_fh.write(json.dumps(row) + "\n")
                     ckpt_fh.flush()
         else:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_experiment_chunk, cfg.sampler, s, c, n)
                            for s, c, n in pending]
                 for fut in as_completed(futures):
@@ -354,14 +415,15 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     totals = np.zeros(bins, dtype=np.int64)
     hits = np.zeros(bins, dtype=np.int64)
     discarded = 0
-    if threads <= 1:
+    workers = pool_size(threads, len(grid), _usable_cores())
+    if workers <= 1:
         results = (_chifit_chunk(spec, s, c, n, bins) for s, c, n in grid)
         for row in results:
             totals += np.asarray(row["totals"])
             hits += np.asarray(row["hits"])
             discarded += row["discarded"]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chifit_chunk, spec, s, c, n, bins)
                        for s, c, n in grid]
             for fut in as_completed(futures):

@@ -4,9 +4,21 @@ Two regimes cover everything needed here:
 
 * terminating series (a numerator parameter is a nonpositive integer):
   summed exactly over Fractions, returning polynomial coefficients;
-* non-terminating series (odd division-ring dimension): summed in float
-  over an array of arguments with a geometric tail certificate, plus an
-  mpmath fallback for the slowly convergent z = 1 endpoint.
+* non-terminating series (odd division-ring dimension): summed in float64
+  over an array of arguments, plus an mpmath evaluation for the slowly
+  convergent z = 1 endpoint.
+
+The float series is summed a block of terms per numpy step, not a term per
+Python step.  Inside a block a cumulative product of ratio*z gives the
+terms and a cumulative sum the partial sums S; each argument stops at its
+first term whose geometric tail bound |t|*r/(1-r) is at most
+``SERIES_RTOL``*|S|: float64 unit roundoff, so the truncated tail is no
+larger than the rounding of S itself.  The kept terms of a block are
+summed pairwise and the block sums are added with their rounding error
+carried, so the value agrees with 50-digit mpmath to about 1e-15 relative
+even after several hundred thousand terms.  Arguments are processed in chunks of
+``SERIES_CHUNK`` on a term-block schedule fixed by the term index alone, so
+memory stays bounded and each value is independent of the batch it is in.
 
 "Regularized" means each term is divided by Gamma(b + n) for the lower
 parameters, so lower-parameter poles are harmless.
@@ -19,6 +31,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+SERIES_RTOL = 2.0 ** -53  # float64 unit roundoff
+SERIES_CHUNK = 128
 
 
 def poch(a: Fraction, n: int) -> Fraction:
@@ -52,43 +67,73 @@ def hyp3f2_reg_poly(a: tuple[int, int, int], b: tuple[int, int]) -> list[Fractio
 
 
 def hyp3f2_reg_series(a: tuple[float, float, float], b: tuple[float, float],
-                      z: np.ndarray, rtol: float = 1e-18,
+                      z: np.ndarray, rtol: float = SERIES_RTOL,
                       max_terms: int = 2_000_000) -> np.ndarray:
-    """Regularized 3F2 summed termwise over an array of z in [0, 1).
+    """Regularized 3F2 summed in term blocks over an array of z in [0, 1).
 
-    Terms are advanced by the ratio recurrence; an element is retired once
-    the geometric tail bound  |t|*r/(1-r)  drops below rtol times its
-    partial sum.  Arguments at z = 1 must go through
-    :func:`hyp3f2_reg_endpoint` instead.
+    The arguments are sorted, so that those needing many terms share
+    chunks, and summed ``SERIES_CHUNK`` at a time.  Arguments at z = 1 must
+    go through :func:`hyp3f2_reg_endpoint` instead.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z >= 1.0) or np.any(z < 0.0):
         raise ValueError("series evaluation requires 0 <= z < 1")
-    flat = z.ravel()
-    t = np.full(flat.shape, 1.0 / (math.gamma(b[0]) * math.gamma(b[1])))
+    order = np.argsort(z, axis=None)
+    flat = z.ravel()[order]
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, SERIES_CHUNK):
+        out[order[lo:lo + SERIES_CHUNK]] = _series_chunk(
+            a, b, flat[lo:lo + SERIES_CHUNK], rtol, max_terms)
+    return out.reshape(z.shape)
+
+
+def _series_chunk(a, b, z, rtol, max_terms):
+    out = np.empty_like(z)
+    idx = np.arange(z.size)  # elements still summing
+    t = np.full(z.shape, 1.0 / (math.gamma(b[0]) * math.gamma(b[1])))
     total = t.copy()
-    active = np.arange(flat.size)
-    zz = flat.copy()
-    n = 0
-    while active.size and n < max_terms:
+    comp = np.zeros_like(t)  # rounding error of the block additions
+    zz = z[:, None]
+    roots = max(abs(a[0]), abs(a[1]), abs(a[2]))
+    n0 = 0
+    while idx.size and n0 < max_terms:
+        # blocks double from 32 to 1024 terms, so most elements stop within
+        # the first one and a block of a full chunk holds at most 2**17 terms
+        size = min(max(32, n0), 1024, max_terms - n0)
+        n = np.arange(n0, n0 + size, dtype=float)
         ratio = ((a[0] + n) * (a[1] + n) * (a[2] + n)
                  / ((b[0] + n) * (b[1] + n) * (n + 1.0)))
-        t = t * ratio * zz
-        total[active] += t
-        if n > max(abs(a[0]), abs(a[1]), abs(a[2])):
-            # past all numerator roots the step ratio increases toward z from
-            # below, so max(z, current ratio*z) bounds every later step
-            r = np.minimum(np.maximum(zz, abs(ratio) * zz), 1.0 - 1e-12)
-            tail = np.abs(t) * r / (1.0 - r)
-            live = tail > rtol * np.abs(total[active])
-            if not live.all():
-                active = active[live]
-                t = t[live]
-                zz = zz[live]
-        n += 1
-    if active.size:
+        terms = ratio * zz
+        terms[:, 0] *= t
+        np.cumprod(terms, axis=1, out=terms)
+        bound = np.cumsum(terms, axis=1)
+        bound += total[:, None]
+        np.abs(bound, out=bound)
+        bound *= rtol
+        # past all numerator roots the step ratio increases toward z from
+        # below, so r = max(z, current ratio*z) bounds every later step
+        tail = np.minimum(zz * np.maximum(1.0, np.abs(ratio)), 1.0 - 1e-12)
+        tail /= 1.0 - tail
+        tail *= np.abs(terms)
+        certified = ~(tail > bound)
+        del tail, bound  # frees 2 of the block's 3 float arrays before the masking
+        certified[:, n <= roots] = False
+        stops = certified.any(axis=1)
+        last = np.where(stops, certified.argmax(axis=1), size - 1)
+        terms[np.arange(size) > last[:, None]] = 0.0
+        block = terms.sum(axis=1)
+        s = total + block  # TwoSum: comp gathers what s rounds away
+        bv = s - total
+        comp += (total - (s - bv)) + (block - bv)
+        total = s
+        out[idx[stops]] = total[stops] + comp[stops]
+        live = ~stops
+        idx, t, zz = idx[live], terms[live, -1], zz[live]
+        total, comp = total[live], comp[live]
+        n0 += size
+    if idx.size:
         raise ArithmeticError("3F2 series failed to converge within max_terms")
-    return total.reshape(z.shape)
+    return out
 
 
 def hyp3f2_reg_endpoint(a: tuple[float, float, float], b: tuple[float, float]) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import DensityMatrix
 
 X_REJECTION_CAP = 10**6  # proposal rounds before the sampler gives up
+SAMPLER_VERSION = 1  # bump whenever the map from Philox draws to samples changes
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,54 @@ def test_master_chi_odd_normalization():
     assert master_chi(1, 1.0) == pytest.approx(1.0, abs=1e-10)
     assert master_chi(1, 0.0) == 0.0
     # series and endpoint paths agree approaching 1
-    assert master_chi(1, 0.999999) == pytest.approx(1.0, abs=1e-4)
+    assert master_chi(1, 0.999999) == pytest.approx(1.0, abs=1e-6)
+
+
+# 50-digit mpmath values of chi_{d,0}(eps) for odd d (mpmath 1.3.0, dps 60)
+MASTER_CHI_50_DIGITS = {
+    1: {
+        0.5: "0.53116769457156905599854309391389718505474487719994",
+        0.9: "0.91547779395973813845561084151583609235999182845658",
+        0.99: "0.99185491081935192599927263088769706494739098070229",
+        0.999: "0.99918902698727052979786196004263400488434288123575",
+        0.999999: "0.99999918943012555685964774973159237631902769239689",
+        1.0: "1.0",
+    },
+    3: {
+        0.5: "0.19339132504766438995570240049453027422657690325697",
+        0.9: "0.82065805005090496474227420565560406689116487949804",
+        0.99: "0.98262343970071284173959649549097354186474741493703",
+        0.999: "0.99826992254590000626378748833200407880036093143359",
+        0.999999: "0.99999827078426784896093454851072322175925461549624",
+        1.0: "1.0",
+    },
+}
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_master_chi_odd_matches_50_digit_values(d):
+    for eps, ref in MASTER_CHI_50_DIGITS[d].items():
+        exact = mpmath.mpf(ref)
+        got = master_chi(d, eps)
+        assert abs(got - exact) / exact <= 1e-15, (d, eps, got)
+
+
+def test_master_chi_odd_array_equals_scalar_calls():
+    from sepprob.hyper import SERIES_CHUNK
+    rng = np.random.default_rng(7)
+    # three chunks once sorted: the arguments near 1, which need up to
+    # several hundred thousand terms, lie on both sides of the second boundary
+    eps = np.sqrt(np.concatenate([
+        rng.random(SERIES_CHUNK + 37),
+        1.0 - 10.0 ** rng.uniform(-6, -1, SERIES_CHUNK - 11),
+        [0.0, 0.25, 0.999999 ** 2],
+    ]))
+    for d in (1, 3):
+        whole = master_chi(d, eps)
+        one_by_one = np.array([master_chi(d, float(e)) for e in eps])
+        assert np.array_equal(whole, one_by_one)
+        grid = eps[:eps.size // 5 * 5].reshape(-1, 5)
+        assert np.array_equal(master_chi(d, grid), whole[:grid.size].reshape(-1, 5))
 
 
 def test_master_chi_rejects_bad_eps():

@@ -15,6 +15,7 @@ from sepprob.harness import (
     equipartition_report,
     estimate_chi_empirical,
     is_perfect_power,
+    pool_size,
     run_experiment,
     stream_quotas,
     wald_ci,
@@ -106,6 +107,18 @@ def test_experiment_estimate_and_report_schema():
     assert sum(report["neg_eig_histogram"]) == tally.samples
     assert report["neg_eig_histogram"][0] == tally.ppt_hits
     assert tally.johnston_hits <= tally.ppt_hits
+    for key in ("sepprob", "numpy", "scipy", "mpmath", "python", "cpu_count"):
+        assert key in report["build_info"], key
+        assert key not in tally.counts_dict()
+
+
+def test_pool_size_clamps_to_threads_chunks_and_cores():
+    assert pool_size(2, 8, 2) == 2
+    assert pool_size(64, 8, 2) == 2
+    assert pool_size(64, 3, 16) == 3
+    assert pool_size(1, 8, 16) == 1
+    assert pool_size(4, 0, 2) == 1  # nothing pending: serial, no pool
+    assert pool_size(0, 8, 2) == 1
 
 
 def test_experiment_bit_identical_across_thread_counts():
@@ -137,8 +150,9 @@ def test_checkpoint_resume(tmp_path):
     cfg = small_cfg(checkpoint=str(path))
     tally1, _ = run_experiment(cfg)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert sum(r["samples"] for r in lines) == 150_000
-    # drop half the lines; the rerun only recomputes the missing chunks
+    assert "fingerprint" in lines[0]
+    assert sum(r["samples"] for r in lines[1:]) == 150_000
+    # drop half the rows; the rerun only recomputes the missing chunks
     kept = lines[: len(lines) // 2]
     path.write_text("".join(json.dumps(r) + "\n" for r in kept))
     tally2, _ = run_experiment(cfg)
@@ -157,6 +171,33 @@ def test_checkpoint_rows_must_match_the_grid(tmp_path):
         run_experiment(small_cfg(target_samples=1_000, streams=1, checkpoint=str(path)))
     with pytest.raises(ValueError, match="chunk grid"):
         run_experiment(small_cfg(target_samples=70_000, streams=2, checkpoint=str(path)))
+    # a row off the grid under a matching header is refused too
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["samples"] -= 1
+    path.write_text("\n".join([lines[0], json.dumps(row)] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="not on this run's chunk grid"):
+        run_experiment(small_cfg(target_samples=70_000, streams=1, checkpoint=str(path)))
+
+
+def test_checkpoint_from_another_config_is_refused(tmp_path):
+    # an R 2x2 k=2 seed-999 run used to resume this C 2x2 k=0 seed-1
+    # checkpoint and report its estimate, 0.245 against about 0.804
+    path = tmp_path / "ckpt.jsonl"
+    first = SamplerSpec(field="C", n=4, split=(2, 2), k=0, seed=1)
+    second = SamplerSpec(field="R", n=4, split=(2, 2), k=2, seed=999)
+    run_experiment(small_cfg(sampler=first, target_samples=70_000, streams=1,
+                             checkpoint=str(path)))
+    before = path.read_text()
+    with pytest.raises(ValueError, match="field 'C' there, 'R' here"):
+        run_experiment(small_cfg(sampler=second, target_samples=70_000, streams=1,
+                                 checkpoint=str(path)))
+    assert path.read_text() == before
+    # a file without the header line is refused as well
+    path.write_text("\n".join(before.splitlines()[1:]) + "\n")
+    with pytest.raises(ValueError, match="no fingerprint header"):
+        run_experiment(small_cfg(sampler=first, target_samples=70_000, streams=1,
+                                 checkpoint=str(path)))
 
 
 def test_checkpoint_torn_last_line(tmp_path):
@@ -168,7 +209,7 @@ def test_checkpoint_torn_last_line(tmp_path):
     with pytest.warns(UserWarning, match="torn"):
         resumed, _ = run_experiment(small_cfg(checkpoint=str(path)))
     assert resumed.counts_dict() == fresh.counts_dict()
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert sum(r["samples"] for r in rows) == 150_000
     # an unparsable line before the last one is not a torn write
     lines = path.read_text().splitlines()
