@@ -47,6 +47,7 @@ def build_info() -> dict:
         "mpmath": mpmath.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "sampler_version": SAMPLER_VERSION,
         "normals": "float64 (standard double precision)",
     }
 

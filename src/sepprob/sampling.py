@@ -6,9 +6,10 @@ measure of order k weights the flat (Hilbert-Schmidt, k = 0) measure by
 det(rho)^k, which fixes the column count per field: over C the density of
 the construction is det(rho)^(cols - n), so cols = n + k; over R it is
 det(rho)^((cols - n - 1)/2), so cols = n + 1 + 2k.  Negative k produces
-the documented rank deficits.  X-states are drawn flat on their matrix
-slice (diagonal plus anti-diagonal), with an extra det(rho)^k thinning
-step for induced measures.
+the documented rank deficits.  X-states follow the det(rho)^k-weighted
+flat law on their matrix slice (diagonal plus anti-diagonal), drawn exactly
+and without rejection: the weight factors into a Dirichlet diagonal and
+independent Beta laws for the anti-diagonal entries.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, counter), so any partition of the work across threads or
@@ -24,8 +25,8 @@ import numpy as np
 
 from .linalg import DensityMatrix
 
-X_REJECTION_CAP = 10**6  # proposal rounds before the sampler gives up
-SAMPLER_VERSION = 1  # bump whenever the map from Philox draws to samples changes
+SAMPLER_VERSION = 2  # bump whenever the map from Philox draws to samples changes
+GRAM_BLOCK = 4096  # matrices per block of the Gram product
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,11 @@ def stream_for(spec: SamplerSpec, counter: int = 0) -> RandomStream:
 def _ginibre_batch(rng: np.random.Generator, field: str, n: int, cols: int,
                    count: int) -> np.ndarray:
     if field == "C":
-        g = rng.standard_normal((count, n, cols))
-        g = g + 1j * rng.standard_normal((count, n, cols))
-    else:
-        g = rng.standard_normal((count, n, cols))
-    return g
+        g = np.empty((count, n, cols), dtype=complex)
+        g.real = rng.standard_normal((count, n, cols))
+        g.imag = rng.standard_normal((count, n, cols))
+        return g
+    return rng.standard_normal((count, n, cols))
 
 
 def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
@@ -103,14 +104,19 @@ def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
     """Stack of ``count`` induced-measure density matrices, shape (count, n, n).
 
     Real-field output is a float64 array; complex-field is complex128.
-    The measure-zero zero-trace event is resampled.
+    The measure-zero zero-trace event is resampled.  The Gram product runs
+    in blocks of ``GRAM_BLOCK`` matrices, so only one block of conj(G) is
+    alive at a time.
     """
     if spec.family != "full":
         raise ValueError("induced sampler serves the full family")
     rng = stream.generator
     n, cols = spec.n, ginibre_columns(spec.field, spec.n, spec.k)
     g = _ginibre_batch(rng, spec.field, n, cols, count)
-    w = g @ g.conj().swapaxes(-1, -2)
+    w = np.empty((count, n, n), dtype=g.dtype)
+    for lo in range(0, count, GRAM_BLOCK):
+        blk = g[lo:lo + GRAM_BLOCK]
+        np.matmul(blk, blk.conj().swapaxes(-1, -2), out=w[lo:lo + GRAM_BLOCK])
     tr = np.trace(w, axis1=-2, axis2=-1).real
     bad = tr <= 0.0
     while np.any(bad):  # pragma: no cover - probability zero in float64
@@ -119,10 +125,8 @@ def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
         w[idx] = g @ g.conj().swapaxes(-1, -2)
         tr[idx] = np.trace(w[idx], axis1=-2, axis2=-1).real
         bad[idx] = tr[idx] <= 0.0
-    rho = w / tr[:, None, None]
-    if spec.field == "R":
-        return rho.real
-    return rho
+    w /= tr[:, None, None]
+    return w
 
 
 def sample_induced(spec: SamplerSpec, stream: RandomStream | None = None) -> DensityMatrix:
@@ -132,10 +136,6 @@ def sample_induced(spec: SamplerSpec, stream: RandomStream | None = None) -> Den
         stream = stream_for(spec)
     rho = sample_induced_batch(spec, stream, 1)[0]
     return DensityMatrix(spec.field, spec.n, spec.split, rho)
-
-
-def _x_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, n - 1 - i) for i in range(n // 2)]
 
 
 def _x_dirichlet_alpha(field: str, n: int) -> np.ndarray:
@@ -156,126 +156,38 @@ def sample_x_state_batch(spec: SamplerSpec, stream: RandomStream,
                          count: int) -> np.ndarray:
     """Stack of ``count`` X-states (nonzero entries on the two diagonals only).
 
-    k = 0 realizes flat (Lebesgue) measure on the X-slice exactly, by
-    construction: the diagonal is drawn from the slice's own marginal (see
-    :func:`_x_dirichlet_alpha`) and each anti-diagonal entry uniformly on
-    its feasible interval/disk |z_i|^2 <= p_i p_j, so no feasibility
-    rejection is needed.  k >= 1 thins by det(rho)^k against the global
-    maximum n^-n, which is exact and unbiased.
+    Draws the det(rho)^k-weighted flat law on the X-slice exactly, for
+    every k >= 0, in one pass with no rejection.  On the slice, det(rho) is
+    the product over pairs (i, j) of p_i p_j - |z|^2, times the centre
+    p_c of odd n, so the weight factors.  Writing z = sqrt(p_i p_j) t (R)
+    or |z|^2 = p_i p_j s (C) leaves independent pieces:
 
-    The equivalent all-rejection sampler (flat proposals on a superset) is
-    kept as :func:`sample_x_state_batch_rejection` and cross-checked in the
-    test suite.
+    - the diagonal ~ Dirichlet(alpha + k), alpha from :func:`_x_dirichlet_alpha`;
+    - R: (1 + t)/2 ~ Beta(k + 1, k + 1), drawn as X/(X + Y) with X, Y
+      independent Gamma(k + 1);
+    - C: s ~ Beta(1, k + 1), drawn by inversion as 1 - U^(1/(k+1)), with a
+      uniform phase.
     """
     if spec.family != "x_state":
         raise ValueError("X-state sampler serves the x_state family")
     rng = stream.generator
     n, k = spec.n, spec.k
-    pairs = _x_pairs(n)
-    npair = len(pairs)
-    cdtype = complex if spec.field == "C" else float
-    out = np.zeros((count, n, n), dtype=cdtype)
-    alpha = _x_dirichlet_alpha(spec.field, n)
-    got = 0
-    proposed = 0
-    det_max = float(n) ** (-n)
-    for _ in range(X_REJECTION_CAP):
-        if got >= count:
-            break
-        # deterministic adaptive batch: a pure function of the draws so far
-        rate = got / proposed if proposed else 1.0
-        need = count - got
-        chunk = int(min(4_000_000, max(4096, need, 1.25 * need / max(rate, 1e-6))))
-        proposed += chunk
-        diag = rng.dirichlet(alpha, size=chunk)
-        pp = np.stack([diag[:, i] * diag[:, j] for i, j in pairs], axis=1)
-        bound = np.sqrt(pp)
-        if spec.field == "C":
-            radius = bound * np.sqrt(rng.uniform(0.0, 1.0, (chunk, npair)))
-            angle = rng.uniform(0.0, 2 * np.pi, (chunk, npair))
-            z = radius * np.exp(1j * angle)
-        else:
-            z = bound * rng.uniform(-1.0, 1.0, (chunk, npair))
-        if k > 0:
-            det = np.prod(pp - np.abs(z) ** 2, axis=1)
-            if n % 2:
-                det = det * diag[:, n // 2]
-            u = rng.uniform(0.0, 1.0, chunk)
-            ok = u < np.clip(det / det_max, 0.0, 1.0) ** k
-        else:
-            ok = np.ones(chunk, dtype=bool)
-        idx = np.flatnonzero(ok)[: count - got]
-        take = idx.size
-        if take:
-            sl = slice(got, got + take)
-            rows = np.arange(n)
-            out[sl, rows, rows] = diag[idx]
-            for col, (i, j) in enumerate(pairs):
-                out[sl, i, j] = z[idx, col]
-                out[sl, j, i] = np.conj(z[idx, col])
-            got += take
+    i = np.arange(n // 2)  # pair (i, j) holds the anti-diagonal entry z
+    j = n - 1 - i
+    diag = rng.dirichlet(_x_dirichlet_alpha(spec.field, n) + k, size=count)
+    bound = np.sqrt(diag[:, i] * diag[:, j])
+    if spec.field == "C":
+        s = 1.0 - rng.random((count, i.size)) ** (1.0 / (k + 1))
+        angle = rng.uniform(0.0, 2 * np.pi, (count, i.size))
+        z = bound * np.sqrt(s) * np.exp(1j * angle)
     else:
-        raise RuntimeError(
-            f"X-state rejection cap hit after {X_REJECTION_CAP} rounds "
-            f"({got}/{count} accepted); k={k} may be too large for n={n}")
-    return out
-
-
-def sample_x_state_batch_rejection(spec: SamplerSpec, stream: RandomStream,
-                                   count: int) -> np.ndarray:
-    """Reference X-state sampler: flat proposals on a superset plus rejection.
-
-    Diagonal from Dirichlet(1, ..., 1), anti-diagonal entries uniform on
-    [-1/2, 1/2] (R) or the radius-1/2 disk (C), rejecting unless every
-    2 x 2 (p_i, z; z*, p_j) block is PSD.  Identical in law to
-    :func:`sample_x_state_batch` but far slower at large n; retained as a
-    distribution oracle for tests.
-    """
-    if spec.family != "x_state":
-        raise ValueError("X-state sampler serves the x_state family")
-    rng = stream.generator
-    n, k = spec.n, spec.k
-    pairs = _x_pairs(n)
-    npair = len(pairs)
-    cdtype = complex if spec.field == "C" else float
-    out = np.zeros((count, n, n), dtype=cdtype)
-    got = 0
-    proposed = 0
-    det_max = float(n) ** (-n)
-    for _ in range(X_REJECTION_CAP):
-        if got >= count:
-            break
-        rate = got / proposed if proposed else 1.0
-        need = count - got
-        chunk = int(min(4_000_000, max(4096, need, 1.25 * need / max(rate, 1e-6))))
-        proposed += chunk
-        diag = rng.dirichlet(np.ones(n), size=chunk)
-        if spec.field == "C":
-            radius = 0.5 * np.sqrt(rng.uniform(0.0, 1.0, (chunk, npair)))
-            angle = rng.uniform(0.0, 2 * np.pi, (chunk, npair))
-            z = radius * np.exp(1j * angle)
-        else:
-            z = rng.uniform(-0.5, 0.5, (chunk, npair))
-        pp = np.stack([diag[:, i] * diag[:, j] for i, j in pairs], axis=1)
-        ok = np.all(np.abs(z) ** 2 <= pp, axis=1)
-        if k > 0:
-            det = np.prod(np.clip(pp - np.abs(z) ** 2, 0.0, None), axis=1)
-            if n % 2:
-                det = det * diag[:, n // 2]
-            u = rng.uniform(0.0, 1.0, chunk)
-            ok &= u < np.clip(det / det_max, 0.0, 1.0) ** k
-        idx = np.flatnonzero(ok)[: count - got]
-        take = idx.size
-        if take:
-            sl = slice(got, got + take)
-            rows = np.arange(n)
-            out[sl, rows, rows] = diag[idx]
-            for col, (i, j) in enumerate(pairs):
-                out[sl, i, j] = z[idx, col]
-                out[sl, j, i] = np.conj(z[idx, col])
-            got += take
-    else:
-        raise RuntimeError("X-state rejection cap hit")
+        x, y = rng.standard_gamma(k + 1.0, (2, count, i.size))
+        z = bound * ((x - y) / (x + y))
+    out = np.zeros((count, n, n), dtype=z.dtype)
+    rows = np.arange(n)
+    out[:, rows, rows] = diag
+    out[:, i, j] = z
+    out[:, j, i] = np.conj(z)
     return out
 
 

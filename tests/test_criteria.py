@@ -198,13 +198,14 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
 
 
 # counts_dict of two 65,536-sample chunks (streams=2, seed 2027), recorded
-# with the eigvalsh-only classifier; the inertia path must reproduce them
+# with the eigvalsh-only classifier; the inertia path must reproduce them.
+# The X-state row is from sampler version 2, the direct det^k draws.
 GOLDEN_TALLIES = [
     ("C", (2, 3), 0, "full", 3490, 0, 1774, [3490, 123632, 3950, 0, 0, 0, 0]),
     ("C", (2, 3), -2, "full", 16, 0, 16, [16, 102575, 28481, 0, 0, 0, 0]),
     ("R", (2, 4), 0, "full", 3254, 0, 1622, [3254, 93224, 34587, 7, 0, 0, 0, 0, 0]),
     ("C", (3, 3), 0, "full", 13, 0, 6, [13, 47971, 82482, 606, 0, 0, 0, 0, 0, 0]),
-    ("R", (2, 3), 1, "x_state", 100775, 10244, 43202, [100775, 30297, 0, 0, 0, 0, 0]),
+    ("R", (2, 3), 1, "x_state", 101043, 10305, 43507, [101043, 30029, 0, 0, 0, 0, 0]),
 ]
 
 

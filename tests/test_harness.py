@@ -11,6 +11,7 @@ from sepprob.harness import (
     ConjectureCandidate,
     ExperimentConfig,
     TrialTally,
+    build_info,
     conjecture_search,
     equipartition_report,
     estimate_chi_empirical,
@@ -20,7 +21,7 @@ from sepprob.harness import (
     stream_quotas,
     wald_ci,
 )
-from sepprob.sampling import SamplerSpec
+from sepprob.sampling import SAMPLER_VERSION, SamplerSpec
 
 
 def small_cfg(**overrides):
@@ -198,6 +199,22 @@ def test_checkpoint_from_another_config_is_refused(tmp_path):
     with pytest.raises(ValueError, match="no fingerprint header"):
         run_experiment(small_cfg(sampler=first, target_samples=70_000, streams=1,
                                  checkpoint=str(path)))
+
+
+def test_checkpoint_from_an_older_sampler_is_refused(tmp_path):
+    # sampler version 2 draws X-states differently, so version-1 rows are
+    # not resumable
+    assert build_info()["sampler_version"] == SAMPLER_VERSION == 2
+    path = tmp_path / "ckpt.jsonl"
+    spec = SamplerSpec(field="R", n=4, split=(2, 2), k=1, family="x_state", seed=1)
+    cfg = small_cfg(sampler=spec, target_samples=1_000, streams=1, checkpoint=str(path))
+    run_experiment(cfg)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["fingerprint"]["sampler_version"] = 1
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="sampler_version 1 there, 2 here"):
+        run_experiment(cfg)
 
 
 def test_checkpoint_torn_last_line(tmp_path):

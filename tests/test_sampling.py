@@ -14,7 +14,6 @@ from sepprob.sampling import (
     sample_induced_batch,
     sample_x_state,
     sample_x_state_batch,
-    sample_x_state_batch_rejection,
     stream_for,
 )
 
@@ -22,6 +21,57 @@ from sepprob.sampling import (
 # C^4 (x) C^4, reduced by explicit environment trace); the Ginibre route
 # must land on the same ensemble means
 HS4_MEAN_EIGS = (0.6108, 0.2753, 0.0982, 0.0157)
+
+ORACLE_BATCH = 1 << 17  # proposals per round of the X-state oracle
+ORACLE_CAP = 1000  # rounds before the oracle gives up
+
+
+def sample_x_state_batch_rejection(spec, stream, count):
+    """Reference X-state sampler: flat proposals and rejection.
+
+    Proposes the diagonal flat on the simplex and each anti-diagonal entry
+    flat on its feasible interval |z| <= sqrt(p_i p_j) (R) or disk (C), and
+    accepts with probability proportional to the target density over the
+    proposal density: det(rho)^k times the interval length (prop. to
+    sqrt(p_i p_j)) or disk area (prop. to p_i p_j) of every pair.  It uses
+    none of the Dirichlet or Beta parameters of the direct sampler, and it
+    checks the bound it divides by.
+    """
+    rng = stream.generator
+    n, k = spec.n, spec.k
+    i = np.arange(n // 2)
+    j = n - 1 - i
+    h = 0.5 if spec.field == "R" else 1.0
+    # det <= prod p_i p_j (times the centre), so the weight is at most
+    # prod_m p_m^a_m, whose maximum on the simplex is prod (a_m / A)^a_m
+    a = np.full(n, h + k)
+    if n % 2:
+        a[n // 2] = k
+    pos = a[a > 0]
+    log_max = float(np.sum(pos * np.log(pos / pos.sum())))
+    out = np.zeros((count, n, n), dtype=complex if spec.field == "C" else float)
+    got = 0
+    for _ in range(ORACLE_CAP):
+        if got == count:
+            return out
+        diag = rng.dirichlet(np.ones(n), size=ORACLE_BATCH)
+        pp = diag[:, i] * diag[:, j]
+        if spec.field == "C":
+            z = np.sqrt(pp * rng.random(pp.shape)) * np.exp(2j * np.pi * rng.random(pp.shape))
+        else:
+            z = np.sqrt(pp) * rng.uniform(-1.0, 1.0, pp.shape)
+        log_w = h * np.log(pp).sum(axis=1) + k * np.log(pp - np.abs(z) ** 2).sum(axis=1)
+        if n % 2:
+            log_w += k * np.log(diag[:, n // 2])
+        assert np.all(log_w <= log_max + 1e-9)
+        ok = np.log(rng.random(ORACLE_BATCH)) < log_w - log_max
+        idx = np.flatnonzero(ok)[: count - got]
+        sl = slice(got, got + idx.size)
+        out[sl, np.arange(n), np.arange(n)] = diag[idx]
+        out[sl, i, j] = z[idx]
+        out[sl, j, i] = np.conj(z[idx])
+        got += idx.size
+    raise RuntimeError(f"X-state oracle cap hit ({got}/{count} accepted)")
 
 
 def test_spec_validation():
@@ -115,18 +165,34 @@ def test_x_state_structure():
         rho.validate()
 
 
+# (field, n, k, oracle samples): the oracle's acceptance falls with n and k
+X_ORACLE_CASES = [
+    ("R", 4, 0, 20_000), ("R", 4, 1, 20_000), ("R", 4, 2, 20_000),
+    ("C", 4, 0, 20_000), ("C", 4, 1, 20_000), ("C", 4, 2, 20_000),
+    ("R", 6, 0, 20_000), ("R", 6, 1, 20_000), ("R", 6, 2, 10_000),
+    ("R", 9, 0, 20_000), ("R", 9, 1, 10_000), ("R", 9, 2, 4_000),
+]
+
+
+def _x_state_statistics(batch):
+    n = batch.shape[1]
+    return {"p_0": batch[:, 0, 0].real, "p_mid": batch[:, n // 2, n // 2].real,
+            "|z|": np.abs(batch[:, 0, n - 1]), "lambda_min": np.linalg.eigvalsh(batch)[:, 0],
+            "det": np.linalg.det(batch).real}
+
+
 def test_x_state_direct_matches_rejection_oracle():
-    # the production sampler draws the slice marginal directly; the
-    # flat-proposal rejection sampler is the reference law
-    for field in ("R", "C"):
-        spec = SamplerSpec(field=field, n=4, split=(2, 2), k=0,
-                           family="x_state", seed=77)
-        a = sample_x_state_batch(spec, RandomStream(77, 0, 0), 50_000)
-        b = sample_x_state_batch_rejection(spec, RandomStream(77, 1, 0), 50_000)
-        for grab in (lambda m: m[:, 0, 0].real, lambda m: m[:, 1, 1].real,
-                     lambda m: np.abs(m[:, 0, 3])):
-            stat, p = ks_2samp(grab(a), grab(b))
-            assert p > 1e-3, (field, stat, p)
+    # the production sampler draws the det^k-weighted slice law directly;
+    # the flat-proposal rejection sampler is the reference law
+    for field, n, k, count in X_ORACLE_CASES:
+        split = {4: (2, 2), 6: (2, 3), 9: (3, 3)}[n]
+        spec = SamplerSpec(field=field, n=n, split=split, k=k, family="x_state", seed=77)
+        a = _x_state_statistics(sample_x_state_batch(spec, RandomStream(77, 0, k), 100_000))
+        b = _x_state_statistics(sample_x_state_batch_rejection(spec, RandomStream(77, 1, k),
+                                                               count))
+        for name in a:
+            stat, p = ks_2samp(a[name], b[name])
+            assert p > 1e-4, (field, n, k, name, stat, p)
 
 
 def test_x_state_induced_k_thinning_lowers_spread():
@@ -168,15 +234,15 @@ def test_sample_batch_dispatch():
     assert batch.dtype == np.float64
 
 
-def test_x_state_cap_error_message():
+def test_x_state_high_order_needs_no_rejection():
+    # R 3x3 at k = 3 once hit the thinning sampler's cap of proposal rounds
     spec = SamplerSpec(field="R", n=9, split=(3, 3), k=3, family="x_state", seed=1)
-    with pytest.raises((RuntimeError, ValueError)):
-        # k=3 thinning at n=9 is below the practical acceptance floor;
-        # cap the proposal rounds so we fail fast instead of spinning
-        import sepprob.sampling as sampling
-        old = sampling.X_REJECTION_CAP
-        sampling.X_REJECTION_CAP = 3
-        try:
-            sample_x_state_batch(spec, stream_for(spec), 10_000)
-        finally:
-            sampling.X_REJECTION_CAP = old
+    batch = sample_x_state_batch(spec, stream_for(spec), 10_000)
+    assert batch.shape == (10_000, 9, 9)
+    mask = np.ones((9, 9), dtype=bool)
+    idx = np.arange(9)
+    mask[idx, idx] = False
+    mask[idx, 8 - idx] = False
+    assert np.all(batch[:, mask] == 0)
+    assert np.max(np.abs(np.trace(batch, axis1=1, axis2=2) - 1)) < 1e-14
+    assert np.min(np.linalg.eigvalsh(batch)) > -1e-13
