@@ -1,8 +1,9 @@
 """Monte Carlo PPT probabilities at desk scale.
 
 Reproduces the flavor of the big published runs with 10^6 samples per
-system: generate Ginibre-induced random density matrices, test the
-partial transpose, and compare against the conjectured exact rationals.
+system: draw random density matrices from the induced measures (Bartlett
+factors of Wishart matrices), test the partial transpose, and compare
+against the conjectured exact rationals.
 The tallies are bit-reproducible for a fixed (seed, streams) regardless
 of thread count.
 """

@@ -31,13 +31,11 @@ trusted only under this certificate:
   least ~1e-9 >> PSD_TOL away from zero: the pivot signs give exactly the
   count the reference rule gives.
 
-On certified rows the spectrum of rho is computed only where it is
-needed: eigvalsh(rho) on PPT rows (Johnston test and det(rho)); a second
-certified LDL^H of rho gives det(rho) on rows with an even, nonzero
-negative count, or eigvalsh(rho) where that factorisation is uncertified
-(rank-deficient k < 0); an odd count has det(rho^PT) < 0 <= det(rho).
+The tally reads det(rho^PT) > det(rho) only on PPT rows, so ``det_gt``,
+like ``johnston``, is PPT-conditioned and det(rho) is computed only there:
+certified PPT rows run eigvalsh(rho), for the Johnston test and det(rho).
 The reference's det(rho) sits below zero only by rounding, at most
-ROUNDING (n-1)^(1-n), and rows whose determinants lie within that plus
+ROUNDING (n-1)^(1-n), and PPT rows whose determinants lie within that plus
 DET_TIE_RTOL (relative) of a tie are not certified.  That relative margin
 is a practical one, far above the few-ulp error either determinant
 carries on certified rows, not a worst-case bound.  Every uncertified row
@@ -60,7 +58,8 @@ DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
 
 @dataclass(frozen=True)
 class SampleVerdict:
-    """Outcome of all per-sample tests; johnston is meaningful only when PPT."""
+    """Outcome of all per-sample tests; det_pt_gt_det and johnston_separable
+    are PPT-conditioned (False unless PPT)."""
 
     is_ppt: bool
     neg_pt_eigs: int
@@ -70,8 +69,8 @@ class SampleVerdict:
     def __post_init__(self):
         if self.is_ppt != (self.neg_pt_eigs == 0):
             raise ValueError("is_ppt must mirror neg_pt_eigs == 0")
-        if self.johnston_separable and not self.is_ppt:
-            raise ValueError("johnston_separable implies is_ppt")
+        if (self.johnston_separable or self.det_pt_gt_det) and not self.is_ppt:
+            raise ValueError("johnston_separable and det_pt_gt_det imply is_ppt")
 
 
 def johnston_from_spectrum(s, m: int) -> bool:
@@ -102,9 +101,7 @@ def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarr
     rho_eigs = np.linalg.eigvalsh(rhos)
     neg = np.count_nonzero(pt_eigs < -PSD_TOL, axis=-1)
     is_ppt = neg == 0
-    det_rho = np.prod(rho_eigs, axis=-1)
-    det_pt = np.prod(pt_eigs, axis=-1)
-    det_gt = det_pt > det_rho
+    det_gt = (np.prod(pt_eigs, axis=-1) > np.prod(rho_eigs, axis=-1)) & is_ppt
     if dA == 2 or dB == 2:
         johnston = _johnston_rows(rho_eigs, dA * dB) & is_ppt
     else:
@@ -113,23 +110,27 @@ def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarr
             "johnston": johnston}
 
 
-def _ldl_inertia(stack: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Unpivoted LDL^H of the Hermitian matrices ``stack[rows]``.
+def _ldl_inertia(rhos: np.ndarray, dA: int, dB: int) -> tuple[np.ndarray, ...]:
+    """Unpivoted LDL^H of the partial transposes (over B) of ``rhos``.
 
-    Returns the negative-pivot count, the pivot product det(A) and a per-row
-    certificate that the count is the one the eigvalsh reference would
-    report (see the module notes).  The stack is factored LDL_BLOCK matrices
-    at a time, each block copied matrix-index-major so that every update
-    runs along the block; ``stack`` itself is left untouched.
+    Returns the negative-pivot count, the pivot product det(rho^PT) and a
+    per-row certificate that the count is the one the eigvalsh reference
+    would report (see the module notes).  The stack is factored LDL_BLOCK
+    matrices at a time: each block's partial transpose is written straight
+    into a matrix-index-major copy, so that every update runs along the
+    block and no full-stack rho^PT is built; ``rhos`` is left untouched.
     """
-    n = stack.shape[-1]
-    piv = np.empty((n, rows.size))
-    fro2 = np.empty(rows.size)  # ||A||_F^2
-    growth = np.zeros(rows.size)  # sum_k |d_k| ||l_k||^2 >= || |L||D||L^H| ||_2
+    count, n = rhos.shape[0], dA * dB
+    piv = np.empty((n, count))
+    fro2 = np.empty(count)  # ||A||_F^2
+    growth = np.zeros(count)  # sum_k |d_k| ||l_k||^2 >= || |L||D||L^H| ||_2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(0, rows.size, LDL_BLOCK):
+        for s in range(0, count, LDL_BLOCK):
             blk = slice(s, s + LDL_BLOCK)
-            a = np.ascontiguousarray(stack[rows[blk]].transpose(1, 2, 0))
+            src = rhos[blk].reshape(-1, dA, dB, dA, dB)
+            a = np.empty((n, n, src.shape[0]), dtype=rhos.dtype)
+            # a[(a1 b1), (a2 b2)] = rho[(a1 b2), (a2 b1)]
+            a.reshape(dA, dB, dA, dB, -1)[...] = src.transpose(1, 4, 3, 2, 0)
             fro2[blk] = np.square(np.abs(a)).sum(axis=(0, 1))
             for j in range(n):
                 d = a[j, j].real
@@ -150,37 +151,31 @@ def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
     """Vectorized verdicts for a stack of states (the Monte Carlo hot path).
 
     Returns boolean/int arrays: is_ppt, neg_pt_eigs, det_gt, johnston.
-    The johnston entry is already PPT-conditioned; for systems with no
-    two-level factor it is identically False.  Rows the LDL^H certificate
-    cannot settle take the eigvalsh reference path (see the module notes).
+    The det_gt and johnston entries are PPT-conditioned (False on every
+    non-PPT row); johnston is identically False for systems with no
+    two-level factor.  Rows the LDL^H certificate cannot settle take the
+    eigvalsh reference path (see the module notes).
     """
     n = dA * dB
-    neg, det_pt, cert = _ldl_inertia(partial_transpose_batch(rhos, dA, dB, side="B"),
-                                     np.arange(rhos.shape[0]))
+    neg, det_pt, cert = _ldl_inertia(rhos, dA, dB)
     is_ppt = neg == 0
-    # odd counts keep det(rho) = 0 here: det(rho^PT) < 0 <= det(rho)
-    det_rho = np.zeros(rhos.shape[0])
+    det_gt = np.zeros(rhos.shape[0], dtype=bool)
     johnston = np.zeros(rhos.shape[0], dtype=bool)
-    need_spectrum = cert & is_ppt
 
-    rows = np.flatnonzero(cert & (neg > 0) & (neg % 2 == 0))
-    if rows.size:
-        _, det_rho[rows], rho_cert = _ldl_inertia(rhos, rows)
-        need_spectrum[rows[~rho_cert]] = True
-
-    rows = np.flatnonzero(need_spectrum)
+    rows = np.flatnonzero(cert & is_ppt)
     if rows.size:
         rho_eigs = np.linalg.eigvalsh(rhos[rows])
-        det_rho[rows] = np.prod(rho_eigs, axis=-1)
+        det_rho = np.prod(rho_eigs, axis=-1)
+        det_pt_rows = det_pt[rows]
         if dA == 2 or dB == 2:
-            johnston[rows] = _johnston_rows(rho_eigs, n) & is_ppt[rows]
-
-    # the reference's det(rho) is off by rounding, and dips below zero by at
-    # most ROUNDING (n-1)^(1-n); rows that close to a tie take the reference
-    gap = np.abs(det_pt - det_rho)
-    cert &= gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
-                   + ROUNDING * (n - 1.0) ** (1 - n))
-    det_gt = det_pt > det_rho
+            johnston[rows] = _johnston_rows(rho_eigs, n)
+        det_gt[rows] = det_pt_rows > det_rho
+        # the reference's det(rho) is off by rounding, and dips below zero by
+        # at most ROUNDING (n-1)^(1-n); rows that close to a tie take the
+        # reference
+        gap = np.abs(det_pt_rows - det_rho)
+        cert[rows] = gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt_rows), np.abs(det_rho))
+                            + ROUNDING * (n - 1.0) ** (1 - n))
 
     rows = np.flatnonzero(~cert)
     if rows.size:
@@ -209,8 +204,14 @@ def classify(rho: DensityMatrix) -> SampleVerdict:
 
 
 def det_inequality(rho: DensityMatrix) -> bool:
-    """True iff det(rho^PT) > det(rho) strictly (PT side is irrelevant)."""
+    """True iff det(rho^PT) > det(rho) strictly (PT side is irrelevant).
+
+    Unlike the PPT-conditioned ``det_gt`` of :func:`classify_batch`, this
+    holds for any state; it compares the eigvalsh determinants of the
+    reference path.
+    """
     if rho.split is None:
         raise ValueError("requires a declared bipartition")
     dA, dB = rho.split
-    return bool(classify_batch(rho.entries[None], dA, dB)["det_gt"][0])
+    pt = partial_transpose_batch(rho.entries[None], dA, dB, side="B")
+    return bool(np.prod(np.linalg.eigvalsh(pt)) > np.prod(np.linalg.eigvalsh(rho.entries)))

@@ -280,8 +280,11 @@ def master_chi(d: int, eps):
     error-free across blocks, and truncated at the first term whose
     geometric tail bound is at most float64 unit roundoff times the partial
     sum (``hyper.SERIES_RTOL``).  It agrees with 50-digit values to about
-    1e-15 relative.  The slowly convergent eps = 1 endpoint goes through
-    mpmath's accelerated evaluation.
+    1e-15 relative.  At eps = 1 either series is the well-poised
+    3F2(d, -d/2, d/2; 1 + 3d/2, 1 + d/2; 1), which Dixon's theorem sums to
+    Gamma(1 + d/2)^3 Gamma(1 + 3d/2) / d!^3; with the regularization and
+    the scale d!^3 / Gamma(1 + d/2)^2 that is exactly 1 for every d, and
+    1.0 is returned.
     """
     d = _require_int("d", d)
     if d < 1:
@@ -290,22 +293,18 @@ def master_chi(d: int, eps):
     scalar = np.isscalar(eps) or eps_arr.ndim == 0
     if np.any((eps_arr < 0) | (eps_arr > 1)):
         raise ValueError("eps must lie in [0, 1]")
-    e2 = eps_arr * eps_arr
+    out = np.ones_like(eps_arr)  # Dixon's sum at eps = 1
+    below = eps_arr < 1.0
+    e = eps_arr[below]
+    e2 = e * e
     if d % 2 == 0:
-        coeffs = [float(c) for c in master_chi_coefficients(d)]
         acc = np.zeros_like(e2)
-        for c in reversed(coeffs):
-            acc = acc * e2 + c
-        out = eps_arr ** d * acc
-        return float(out) if scalar else out
-    a = (-d / 2, d / 2, float(d))
-    b = (d / 2 + 1, 3 * d / 2 + 1)
-    scale = math.factorial(d) ** 3 / math.gamma(d / 2 + 1) ** 2
-    out = np.empty_like(e2)
-    at_one = e2 >= 1.0
-    if np.any(~at_one):
-        out[~at_one] = hyper.hyp3f2_reg_series(a, b, e2[~at_one])
-    if np.any(at_one):
-        out[at_one] = hyper.hyp3f2_reg_endpoint(a, b)
-    out = eps_arr ** d * scale * out
+        for c in reversed(master_chi_coefficients(d)):
+            acc = acc * e2 + float(c)
+        out[below] = e ** d * acc
+    elif e.size:
+        a = (-d / 2, d / 2, float(d))
+        b = (d / 2 + 1, 3 * d / 2 + 1)
+        scale = math.factorial(d) ** 3 / math.gamma(d / 2 + 1) ** 2
+        out[below] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
     return float(out) if scalar else out

@@ -5,8 +5,9 @@ Two regimes cover everything needed here:
 * terminating series (a numerator parameter is a nonpositive integer):
   summed exactly over Fractions, returning polynomial coefficients;
 * non-terminating series (odd division-ring dimension): summed in float64
-  over an array of arguments, plus an mpmath evaluation for the slowly
-  convergent z = 1 endpoint.
+  over an array of arguments in [0, 1).  The z = 1 endpoint the master
+  formula needs has a closed form (Dixon's theorem; see
+  :func:`sepprob.exactmath.master_chi`).
 
 The float series is summed a block of terms per numpy step, not a term per
 Python step.  Inside a block a cumulative product of ratio*z gives the
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 SERIES_RTOL = 2.0 ** -53  # float64 unit roundoff
@@ -72,8 +72,7 @@ def hyp3f2_reg_series(a: tuple[float, float, float], b: tuple[float, float],
     """Regularized 3F2 summed in term blocks over an array of z in [0, 1).
 
     The arguments are sorted, so that those needing many terms share
-    chunks, and summed ``SERIES_CHUNK`` at a time.  Arguments at z = 1 must
-    go through :func:`hyp3f2_reg_endpoint` instead.
+    chunks, and summed ``SERIES_CHUNK`` at a time.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z >= 1.0) or np.any(z < 0.0):
@@ -134,14 +133,6 @@ def _series_chunk(a, b, z, rtol, max_terms):
     if idx.size:
         raise ArithmeticError("3F2 series failed to converge within max_terms")
     return out
-
-
-def hyp3f2_reg_endpoint(a: tuple[float, float, float], b: tuple[float, float]) -> float:
-    """Regularized 3F2 at z = 1 (convergent but too slow for naive summation)."""
-    with mpmath.workdps(30):
-        v = mpmath.hyp3f2(a[0], a[1], a[2], b[0], b[1], 1)
-        v /= mpmath.gamma(b[0]) * mpmath.gamma(b[1])
-        return float(v)
 
 
 def hyp2f1_poly_coeffs(c: Fraction, k: int) -> list[Fraction]:

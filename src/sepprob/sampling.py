@@ -1,15 +1,40 @@
 """Seeded generation of random density matrices under induced measures.
 
-The full-family sampler is the Ginibre construction rho = G G* / tr(G G*)
-with G a standard Gaussian n x cols matrix over the field.  The induced
-measure of order k weights the flat (Hilbert-Schmidt, k = 0) measure by
-det(rho)^k, which fixes the column count per field: over C the density of
-the construction is det(rho)^(cols - n), so cols = n + k; over R it is
+The full-family sampler draws rho = W / tr W for W a Wishart matrix: the
+Gram matrix G G* of a standard Gaussian n x cols matrix G over the field
+(real and imaginary parts N(0, 1) over C).  The induced measure of order k
+weights the flat (Hilbert-Schmidt, k = 0) measure by det(rho)^k, which
+fixes the column count per field: over C the density of the construction
+is det(rho)^(cols - n), so cols = n + k; over R it is
 det(rho)^((cols - n - 1)/2), so cols = n + 1 + 2k.  Negative k produces
-the documented rank deficits.  X-states follow the det(rho)^k-weighted
-flat law on their matrix slice (diagonal plus anti-diagonal), drawn exactly
-and without rejection: the weight factors into a Dirichlet diagonal and
-independent Beta laws for the anti-diagonal entries.
+the documented rank deficits.
+
+W is not formed from G.  The LQ decomposition G = L Q, with Q unitary,
+gives W = L L*, and its factor L has the Bartlett law: L is lower
+trapezoidal, n x r with r = min(n, cols), with independent entries
+
+- on the diagonal, L_ii = sqrt(2 Gamma(beta (cols - i) / 2)) for i < r,
+  beta = 2 over C and 1 over R (a chi variable of beta (cols - i) degrees
+  of freedom, scaled like a modulus of G's entries);
+- below it, standard normals over the field, as in G.
+
+The one path covers every k, rank-deficient k < 0 included.  It draws r
+gammas and beta (n r - r (r + 1) / 2) normals per state, where G takes
+beta n cols normals: 9 gammas and 72 normals against 162 normals for
+C 3x3.
+
+States are drawn ``GRAM_BLOCK`` at a time.  Within a block of m matrices
+the draws come in this order: the diagonal gammas as an (r, m) array
+(diagonal index major), then row by row for i = 1, ..., n - 1 the min(i, r)
+entries of row i as a (min(i, r), m) array of normals (over C each entry
+takes two consecutive normals, real part first).  W is built a column at a
+time from the rows of L, its trace is summed from the same squares, and
+the block is divided by it in place.
+
+X-states follow the det(rho)^k-weighted flat law on their matrix slice
+(diagonal plus anti-diagonal), drawn exactly and without rejection: the
+weight factors into a Dirichlet diagonal and independent Beta laws for the
+anti-diagonal entries.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, counter), so any partition of the work across threads or
@@ -25,8 +50,8 @@ import numpy as np
 
 from .linalg import DensityMatrix
 
-SAMPLER_VERSION = 2  # bump whenever the map from Philox draws to samples changes
-GRAM_BLOCK = 4096  # matrices per block of the Gram product
+SAMPLER_VERSION = 3  # bump whenever the map from Philox draws to samples changes
+GRAM_BLOCK = 1024  # matrices per block of Bartlett draws and Gram product
 
 
 @dataclass(frozen=True)
@@ -47,8 +72,8 @@ class SamplerSpec:
         if self.split[0] * self.split[1] != self.n:
             raise ValueError("split must multiply to n")
         if self.family == "full":
-            if ginibre_columns(self.field, self.n, self.k) < 1:
-                raise ValueError("induced construction needs >= 1 Ginibre column")
+            if wishart_columns(self.field, self.n, self.k) < 1:
+                raise ValueError("induced construction needs >= 1 Wishart column")
         elif self.family == "x_state":
             if self.n not in (4, 6, 9):
                 raise ValueError("X-state family covers n in {4, 6, 9}")
@@ -58,7 +83,7 @@ class SamplerSpec:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-def ginibre_columns(field: str, n: int, k: int) -> int:
+def wishart_columns(field: str, n: int, k: int) -> int:
     """Column count realizing the det(rho)^k-weighted (order-k) measure."""
     return n + k if field == "C" else n + 1 + 2 * k
 
@@ -89,49 +114,51 @@ def stream_for(spec: SamplerSpec, counter: int = 0) -> RandomStream:
     return RandomStream(spec.seed, spec.stream_id, counter)
 
 
-def _ginibre_batch(rng: np.random.Generator, field: str, n: int, cols: int,
-                   count: int) -> np.ndarray:
-    if field == "C":
-        g = np.empty((count, n, cols), dtype=complex)
-        g.real = rng.standard_normal((count, n, cols))
-        g.imag = rng.standard_normal((count, n, cols))
-        return g
-    return rng.standard_normal((count, n, cols))
-
-
 def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
                          count: int) -> np.ndarray:
     """Stack of ``count`` induced-measure density matrices, shape (count, n, n).
 
     Real-field output is a float64 array; complex-field is complex128.
-    The measure-zero zero-trace event is resampled.  The Gram product runs
-    in blocks of ``GRAM_BLOCK`` matrices, so only one block of conj(G) is
-    alive at a time.
+    Draws the Bartlett factor of each state ``GRAM_BLOCK`` states at a time,
+    in the order the module notes give, and writes each block's W = L L*
+    straight into the output.
     """
     if spec.family != "full":
         raise ValueError("induced sampler serves the full family")
     rng = stream.generator
-    n, cols = spec.n, ginibre_columns(spec.field, spec.n, spec.k)
-    g = _ginibre_batch(rng, spec.field, n, cols, count)
-    w = np.empty((count, n, n), dtype=g.dtype)
+    n, cols = spec.n, wishart_columns(spec.field, spec.n, spec.k)
+    r = min(n, cols)
+    cplx = spec.field == "C"
+    shape = (cols - np.arange(r)) / (1.0 if cplx else 2.0)  # beta (cols - i) / 2
+    w = np.empty((count, n, n), dtype=complex if cplx else float)
     for lo in range(0, count, GRAM_BLOCK):
-        blk = g[lo:lo + GRAM_BLOCK]
-        np.matmul(blk, blk.conj().swapaxes(-1, -2), out=w[lo:lo + GRAM_BLOCK])
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    bad = tr <= 0.0
-    while np.any(bad):  # pragma: no cover - probability zero in float64
-        idx = np.flatnonzero(bad)
-        g = _ginibre_batch(rng, spec.field, n, cols, idx.size)
-        w[idx] = g @ g.conj().swapaxes(-1, -2)
-        tr[idx] = np.trace(w[idx], axis1=-2, axis2=-1).real
-        bad[idx] = tr[idx] <= 0.0
-    w /= tr[:, None, None]
+        blk = w[lo:lo + GRAM_BLOCK]
+        m = blk.shape[0]
+        gam = rng.standard_gamma(shape[:, None], (r, m))
+        low = np.zeros((n, r, m), dtype=w.dtype)  # L, matrix index last
+        draws = low.view(float)  # over C, (re, im) pairs along the last axis
+        for i in range(1, n):
+            rng.standard_normal(out=draws[i, :min(i, r)])
+        for i in range(r):
+            low[i, i] = np.sqrt(2.0 * gam[i])
+        tr = np.zeros(m)
+        for j in range(n):
+            c = min(j + 1, r)
+            col = (low[j:, :c] * low[j, :c].conj()).sum(axis=1)  # W[j:, j]
+            if cplx:  # z * conj(z) keeps a rounding-level imaginary part
+                col[0].imag = 0.0
+            tr += col[0].real
+            blk[:, j:, j] = col.T
+            blk[:, j, j + 1:] = col[1:].T.conj()
+        if not np.all(tr > 0.0):  # pragma: no cover - probability zero
+            raise ArithmeticError("Wishart draw with non-positive trace")
+        blk.view(float).reshape(m, -1)[...] /= tr[:, None]
     return w
 
 
 def sample_induced(spec: SamplerSpec, stream: RandomStream | None = None) -> DensityMatrix:
     """One induced-measure density matrix (PSD, unit trace, rank bounded by
-    the Ginibre column count)."""
+    the Wishart column count)."""
     if stream is None:
         stream = stream_for(spec)
     rho = sample_induced_batch(spec, stream, 1)[0]

@@ -60,6 +60,9 @@ def test_verdict_invariants_enforced():
     with pytest.raises(ValueError):
         SampleVerdict(is_ppt=False, neg_pt_eigs=1, det_pt_gt_det=False,
                       johnston_separable=True)
+    with pytest.raises(ValueError):
+        SampleVerdict(is_ppt=False, neg_pt_eigs=2, det_pt_gt_det=True,
+                      johnston_separable=False)
 
 
 def test_johnston_from_spectrum_cases():
@@ -100,6 +103,25 @@ def test_det_inequality_side_invariance():
     da = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "A")), axis=1)
     db = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B")), axis=1)
     assert np.max(np.abs(da - db)) < 1e-12
+
+
+def test_det_gt_is_ppt_conditioned_but_det_inequality_is_not():
+    # two negative PT eigenvalues can make det(rho^PT) > det(rho) on a
+    # non-PPT state: the batch verdict reports False there, det_inequality True
+    from sepprob.linalg import partial_transpose_batch
+
+    spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=3)
+    batch = sample_induced_batch(spec, stream_for(spec), 2000)
+    pt_eigs = np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B"))
+    det_gt = np.prod(pt_eigs, axis=1) > np.prod(np.linalg.eigvalsh(batch), axis=1)
+    rows = np.flatnonzero(det_gt & (pt_eigs[:, 0] < -1e-6))
+    assert rows.size
+    out = classify_batch(batch[rows], 2, 3)
+    assert not out["det_gt"].any() and not out["is_ppt"].any()
+    for i in rows[:5]:
+        rho = DensityMatrix("C", 6, (2, 3), batch[i])
+        assert det_inequality(rho)
+        assert not classify(rho).det_pt_gt_det
 
 
 def test_neg_eig_count_ranges():
@@ -199,12 +221,13 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
 
 # counts_dict of two 65,536-sample chunks (streams=2, seed 2027), recorded
 # with the eigvalsh-only classifier; the inertia path must reproduce them.
-# The X-state row is from sampler version 2, the direct det^k draws.
+# The rows are from sampler version 3: Bartlett-drawn full-family states and
+# direct det^k X-state draws.
 GOLDEN_TALLIES = [
-    ("C", (2, 3), 0, "full", 3490, 0, 1774, [3490, 123632, 3950, 0, 0, 0, 0]),
-    ("C", (2, 3), -2, "full", 16, 0, 16, [16, 102575, 28481, 0, 0, 0, 0]),
-    ("R", (2, 4), 0, "full", 3254, 0, 1622, [3254, 93224, 34587, 7, 0, 0, 0, 0, 0]),
-    ("C", (3, 3), 0, "full", 13, 0, 6, [13, 47971, 82482, 606, 0, 0, 0, 0, 0, 0]),
+    ("C", (2, 3), 0, "full", 3594, 0, 1784, [3594, 123402, 4076, 0, 0, 0, 0]),
+    ("C", (2, 3), -2, "full", 21, 0, 21, [21, 102631, 28420, 0, 0, 0, 0]),
+    ("R", (2, 4), 0, "full", 3257, 0, 1641, [3257, 93355, 34442, 18, 0, 0, 0, 0, 0]),
+    ("C", (3, 3), 0, "full", 16, 0, 8, [16, 47562, 82901, 593, 0, 0, 0, 0, 0, 0]),
     ("R", (2, 3), 1, "x_state", 101043, 10305, 43507, [101043, 30029, 0, 0, 0, 0, 0]),
 ]
 

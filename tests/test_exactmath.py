@@ -257,6 +257,13 @@ def test_master_chi_odd_matches_50_digit_values(d):
         assert abs(got - exact) / exact <= 1e-15, (d, eps, got)
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_master_chi_is_one_at_the_endpoint(d):
+    # Dixon's theorem sums the odd-d series at eps = 1 to exactly 1
+    assert master_chi(d, 1.0) == 1.0
+    assert np.array_equal(master_chi(d, np.array([0.5, 1.0]))[1:], [1.0])
+
+
 def test_master_chi_odd_array_equals_scalar_calls():
     from sepprob.hyper import SERIES_CHUNK
     rng = np.random.default_rng(7)

@@ -202,18 +202,18 @@ def test_checkpoint_from_another_config_is_refused(tmp_path):
 
 
 def test_checkpoint_from_an_older_sampler_is_refused(tmp_path):
-    # sampler version 2 draws X-states differently, so version-1 rows are
-    # not resumable
-    assert build_info()["sampler_version"] == SAMPLER_VERSION == 2
+    # sampler version 3 draws full-family states from the Bartlett factor,
+    # so version-2 rows are not resumable
+    assert build_info()["sampler_version"] == SAMPLER_VERSION == 3
     path = tmp_path / "ckpt.jsonl"
-    spec = SamplerSpec(field="R", n=4, split=(2, 2), k=1, family="x_state", seed=1)
+    spec = SamplerSpec(field="C", n=4, split=(2, 2), k=1, seed=1)
     cfg = small_cfg(sampler=spec, target_samples=1_000, streams=1, checkpoint=str(path))
     run_experiment(cfg)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["fingerprint"]["sampler_version"] = 1
+    header["fingerprint"]["sampler_version"] = 2
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="sampler_version 1 there, 2 here"):
+    with pytest.raises(ValueError, match="sampler_version 2 there, 3 here"):
         run_experiment(cfg)
 
 

@@ -1,4 +1,4 @@
-"""Samplers: Ginibre induced measures, X-states, stream reproducibility."""
+"""Samplers: Bartlett-drawn induced measures, X-states, stream reproducibility."""
 
 import math
 
@@ -18,12 +18,29 @@ from sepprob.sampling import (
 )
 
 # frozen from the independent partial-trace oracle (400k pure states on
-# C^4 (x) C^4, reduced by explicit environment trace); the Ginibre route
+# C^4 (x) C^4, reduced by explicit environment trace); the induced sampler
 # must land on the same ensemble means
 HS4_MEAN_EIGS = (0.6108, 0.2753, 0.0982, 0.0157)
 
 ORACLE_BATCH = 1 << 17  # proposals per round of the X-state oracle
 ORACLE_CAP = 1000  # rounds before the oracle gives up
+
+
+def sample_induced_batch_ginibre(spec, stream, count):
+    """Reference induced sampler: the Ginibre construction.
+
+    rho = G G* / tr(G G*) with G an n x cols matrix of independent standard
+    normals (real and imaginary parts N(0, 1) over C), cols = n + k over C
+    and n + 1 + 2k over R.  It uses no gamma draw and no Bartlett
+    parameter of the production sampler.
+    """
+    rng = stream.generator
+    cols = spec.n + spec.k if spec.field == "C" else spec.n + 1 + 2 * spec.k
+    g = rng.standard_normal((count, spec.n, cols))
+    if spec.field == "C":
+        g = g + 1j * rng.standard_normal((count, spec.n, cols))
+    w = g @ g.conj().swapaxes(-1, -2)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def sample_x_state_batch_rejection(spec, stream, count):
@@ -114,7 +131,7 @@ def test_random_stream_seed_range():
 
 
 def test_induced_rank_deficit_for_negative_k():
-    # rank is bounded by the Ginibre column count: n + k over C,
+    # rank is bounded by the Wishart column count: n + k over C,
     # n + 1 + 2k over R (the det^k-weight convention)
     spec = SamplerSpec(field="R", n=6, split=(2, 3), k=-2, seed=9)
     batch = sample_induced_batch(spec, stream_for(spec), 64)
@@ -146,6 +163,40 @@ def test_induced_mean_eigenvalues_match_oracle():
         acc += np.linalg.eigvalsh(batch)[:, ::-1].sum(axis=0)
     mean = acc / total
     assert np.max(np.abs(mean - np.array(HS4_MEAN_EIGS))) < 4e-3
+
+
+INDUCED_ORACLE_CASES = [(field, split, k) for field in ("C", "R")
+                        for split in ((2, 2), (2, 3), (2, 4), (3, 3))
+                        for k in (-2, 0, 1)]
+INDUCED_STATISTICS = 5
+# Bonferroni: a 1% chance that any comparison of the module fails by chance
+INDUCED_KS_P = 0.01 / (len(INDUCED_ORACLE_CASES) * INDUCED_STATISTICS)
+
+
+def _induced_statistics(batch, rank):
+    n = batch.shape[1]
+    ev = np.linalg.eigvalsh(batch)
+    return {"lambda_max": ev[:, -1], "lambda_min_nonzero": ev[:, n - rank],
+            "|rho_0,n-1|": np.abs(batch[:, 0, n - 1]),
+            "rho_n-1,n-1": batch[:, n - 1, n - 1].real,
+            "det": np.prod(ev[:, n - rank:], axis=1)}  # of the nonzero part
+
+
+@pytest.mark.parametrize("field,split,k", INDUCED_ORACLE_CASES,
+                         ids=[f"{f}{a}x{b}k{k}" for f, (a, b), k in INDUCED_ORACLE_CASES])
+def test_induced_bartlett_matches_ginibre_oracle(field, split, k):
+    # the production sampler draws the Bartlett factor of the Wishart
+    # matrix; the Ginibre construction is the reference law
+    n = split[0] * split[1]
+    spec = SamplerSpec(field=field, n=n, split=split, k=k, seed=88)
+    rank = min(n, n + k if field == "C" else n + 1 + 2 * k)
+    a = _induced_statistics(sample_induced_batch(spec, RandomStream(88, 0, 0), 20_000), rank)
+    b = _induced_statistics(sample_induced_batch_ginibre(spec, RandomStream(88, 1, 0), 20_000),
+                            rank)
+    assert len(a) == INDUCED_STATISTICS
+    for name in a:
+        stat, p = ks_2samp(a[name], b[name])
+        assert p > INDUCED_KS_P, (field, split, k, name, stat, p)
 
 
 def test_x_state_structure():
