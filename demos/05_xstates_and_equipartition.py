@@ -10,7 +10,7 @@ Hilbert-Schmidt measure, a balance that breaks under induced measures.
 import math
 import os
 
-from sepprob.harness import ExperimentConfig, equipartition_report, run_experiment
+from sepprob.harness import ExperimentConfig, run_experiment
 from sepprob.sampling import SamplerSpec
 
 THREADS = os.cpu_count() or 1
@@ -43,9 +43,11 @@ for field, k in [("R", 0), ("C", 0), ("C", 1), ("C", 2)]:
     spec = SamplerSpec(field=field, n=6, split=(2, 3), k=k, seed=8)
     cfg = ExperimentConfig(sampler=spec, target_samples=SAMPLES,
                            streams=8, threads=THREADS)
-    report = equipartition_report(cfg)
-    eq = report["equipartition"]
+    _, report = run_experiment(cfg)
+    det = report["det_gt"]
+    lo, hi = det["ci"]
     print(f"{field} 2x3 k={k}: det(PT)>det fraction among separable = "
-          f"{eq['rate']:.4f}  ({eq['det_gt_hits']}/{eq['ppt_samples']})")
+          f"{det['rate']:.4f}  ({det['hits']}/{report['ppt_hits']}, "
+          f"95% CI [{lo:.4f}, {hi:.4f}])")
 print("(k=0 sits at 1/2; the reported induced-measure values are 0.3117 at")
 print(" k=1 and 0.2263 at k=2)")

@@ -32,7 +32,6 @@ from .exactmath import (
 from .harness import (
     ExperimentConfig,
     conjecture_search,
-    equipartition_report,
     estimate_chi_empirical,
     run_experiment,
 )
@@ -125,10 +124,7 @@ def _cmd_estimate(args) -> None:
     cfg = ExperimentConfig(sampler=spec, target_samples=args.samples,
                            streams=args.streams, threads=args.threads,
                            checkpoint=args.checkpoint)
-    if args.equipartition:
-        report = equipartition_report(cfg)
-    else:
-        _tally, report = run_experiment(cfg)
+    _tally, report = run_experiment(cfg)
     _emit(json.dumps(report, indent=2), args.out)
 
 
@@ -165,10 +161,11 @@ def _cmd_chi_fit(args) -> None:
     _emit(buf.getvalue(), args.out)
 
 
-def _eps_values(args) -> list[float]:
-    if args.epsilon is not None:
-        return [args.epsilon]
-    lo, hi, step = (float(x) for x in args.eps_grid.split(":"))
+def _eps_grid(text: str) -> list[float]:
+    """The values of an --eps-grid lo:hi:step, refusing an endless grid."""
+    lo, hi, step = (float(x) for x in text.split(":"))
+    if not (step > 0 and lo <= hi):
+        raise argparse.ArgumentTypeError(f"{text}: need lo <= hi and step > 0")
     vals = []
     e = lo
     while e <= hi + 1e-12:
@@ -186,7 +183,7 @@ def _cmd_quadrature(args) -> None:
                                n_inner=max(args.nodes // 2, 16))
         rows.append(("", val, "", ""))
     else:
-        for eps in _eps_values(args):
+        for eps in [args.epsilon] if args.epsilon is not None else args.eps_grid:
             if args.method == "qmc":
                 val = quadrature.chi_numeric_qmc(args.d, int(k), eps)
             else:
@@ -242,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--streams", type=int, default=8)
     p_est.add_argument("--threads", type=int, default=1)
     p_est.add_argument("--checkpoint")
-    p_est.add_argument("--equipartition", action="store_true",
-                       help="add the det-inequality split to the report")
     p_est.add_argument("--out")
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--k", default="0")
     p_quad.add_argument("--eta", default=None)
     p_quad.add_argument("--epsilon", type=float, default=None)
-    p_quad.add_argument("--eps-grid", default="0.1:1.0:0.1",
+    p_quad.add_argument("--eps-grid", type=_eps_grid, default="0.1:1.0:0.1",
                         help="lo:hi:step")
     p_quad.add_argument("--method", choices=["gl", "qmc"], default="gl")
     p_quad.add_argument("--nodes", type=int, default=120)

@@ -3,9 +3,7 @@
 from .formulas import (
     CatalogMiss,
     chi_catalog,
-    gamma_half_exact,
     master_chi,
-    master_chi_coefficients,
     milz_strunz_volume,
     p_2qubits,
     p_2quaterbits,
@@ -21,7 +19,6 @@ from .values import (
     PiRational,
     PrimeFactorization,
     RadicalPiRational,
-    square_free_split,
 )
 
 __all__ = [
@@ -34,16 +31,13 @@ __all__ = [
     "chi_catalog",
     "factor_int",
     "factorize",
-    "gamma_half_exact",
     "is_prime",
     "master_chi",
-    "master_chi_coefficients",
     "milz_strunz_volume",
     "p_2qubits",
     "p_2quaterbits",
     "p_2rebits",
     "reported_value_audit",
-    "square_free_split",
     "u_closed",
     "volume_hs",
     "volume_lebesgue",

@@ -1,14 +1,19 @@
 """Monte Carlo experiment runner with mergeable tallies and reports.
 
 Work is cut into fixed 65536-sample chunks on a (stream, chunk) grid; each
-chunk draws from its own counter-keyed Philox stream, so the tally for a
+chunk draws from its own counter-keyed Philox stream, so the result for a
 given (seed, streams, samples) triple is bit-identical no matter how many
-worker processes execute the grid.  Chunk results are merged by plain
-field-wise addition and can be checkpointed as JSON lines and resumed.
+worker processes execute the grid.  Both Monte Carlo runs, PPT experiments
+and empirical chi fits, go through one grid runner, serial or on one
+process pool.  Each chunk returns a row of integer counts; the row is the
+only record: experiment rows are appended to a JSON-lines checkpoint as
+they arrive, and results are field-wise sums over rows.
 
 Interval reporting uses the Wald normal approximation (matching the
-conventions of the published estimates this reproduces) with an exact
-Clopper-Pearson fallback in the rare-hit regime.
+conventions of the published estimates this reproduces) at ``CI_LEVEL``,
+with an exact Clopper-Pearson fallback in the rare-hit regime.  A rate
+conditioned on an empty event (no PPT samples, an empty chi bin) reports
+NaN with a [NaN, NaN] interval.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -35,6 +41,7 @@ from .linalg import epsilon_ratio_batch_2x2
 from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch
 
 CHUNK_SAMPLES = 65_536
+CI_LEVEL = 0.95
 CP_FALLBACK_HITS = 30  # below this many hits (or misses), Wald is unreliable
 
 
@@ -103,11 +110,6 @@ class TrialTally:
             "stream_ids": list(self.stream_ids),
         }
 
-    def to_json(self) -> dict:
-        out = self.counts_dict()
-        out["wall_time"] = self.wall_time
-        return out
-
 
 @dataclass
 class ExperimentConfig:
@@ -118,13 +120,6 @@ class ExperimentConfig:
     streams: int = 8
     threads: int = 1
     checkpoint: str | None = None
-    ci_level: float = 0.95
-
-    def __post_init__(self):
-        if self.target_samples < 1:
-            raise ValueError("target_samples must be >= 1")
-        if not 1 <= self.streams <= 2**31:
-            raise ValueError("streams out of range")
 
 
 def stream_quotas(total: int, streams: int) -> list[int]:
@@ -147,10 +142,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_grid(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
+def _chunk_grid(total: int, streams: int) -> list[tuple[int, int, int]]:
     """(stream_id, chunk_index, chunk_samples) covering the whole budget."""
+    if total < 1:
+        raise ValueError("need at least 1 sample")
+    if not 1 <= streams <= 2**31:
+        raise ValueError("streams out of range")
     grid = []
-    for s, quota in enumerate(stream_quotas(cfg.target_samples, cfg.streams)):
+    for s, quota in enumerate(stream_quotas(total, streams)):
         idx = 0
         while quota > 0:
             take = min(CHUNK_SAMPLES, quota)
@@ -178,16 +177,17 @@ def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
     }
 
 
-def _chunk_to_tally(row: dict, seed: int) -> TrialTally:
-    return TrialTally(
-        samples=row["samples"],
-        ppt_hits=row["ppt_hits"],
-        johnston_hits=row["johnston_hits"],
-        det_gt_hits_given_ppt=row["det_gt_hits_given_ppt"],
-        neg_eig_histogram=list(row["neg_eig_histogram"]),
-        seed=seed,
-        stream_ids=[row["stream_id"]],
-    )
+def _run_grid(chunk_fn, spec: SamplerSpec, grid, threads: int):
+    """Yield ``chunk_fn(spec, stream_id, chunk_index, count)`` for each grid
+    entry, in completion order: serially in this process when
+    :func:`pool_size` allows one worker, otherwise on one process pool."""
+    workers = pool_size(threads, len(grid), _usable_cores())
+    if workers <= 1:
+        yield from (chunk_fn(spec, s, c, n) for s, c, n in grid)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(chunk_fn, spec, s, c, n) for s, c, n in grid]
+        yield from (fut.result() for fut in as_completed(futures))
 
 
 def _checkpoint_fingerprint(cfg: ExperimentConfig) -> dict:
@@ -257,13 +257,14 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
-    """Run (or resume) an experiment; returns the merged tally and a report.
+    """Run (or resume) an experiment; returns the tally summed from its chunk
+    rows, and a report.
 
     Deterministic for fixed (seed, streams, target_samples): the chunk grid
     and each chunk's Philox key are independent of the thread count.
     """
     t0 = time.perf_counter()
-    grid = _chunk_grid(cfg)
+    grid = _chunk_grid(cfg.target_samples, cfg.streams)
     fingerprint = _checkpoint_fingerprint(cfg)
     done = _load_checkpoint(cfg.checkpoint, fingerprint) if cfg.checkpoint else {}
     expected = {(s, c): n for s, c, n in grid}
@@ -277,43 +278,38 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     rows = [done[(s, c)] for (s, c, _n) in grid if (s, c) in done]
 
     ckpt_fh = open(cfg.checkpoint, "a") if cfg.checkpoint else None
-    workers = pool_size(cfg.threads, len(pending), _usable_cores())
     try:
         if ckpt_fh and ckpt_fh.tell() == 0:
             ckpt_fh.write(json.dumps({"fingerprint": fingerprint}) + "\n")
             ckpt_fh.flush()
-        if workers <= 1:
-            for s, c, n in pending:
-                row = _experiment_chunk(cfg.sampler, s, c, n)
-                rows.append(row)
-                if ckpt_fh:
-                    ckpt_fh.write(json.dumps(row) + "\n")
-                    ckpt_fh.flush()
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_experiment_chunk, cfg.sampler, s, c, n)
-                           for s, c, n in pending]
-                for fut in as_completed(futures):
-                    row = fut.result()
-                    rows.append(row)
-                    if ckpt_fh:
-                        ckpt_fh.write(json.dumps(row) + "\n")
-                        ckpt_fh.flush()
+        for row in _run_grid(_experiment_chunk, cfg.sampler, pending, cfg.threads):
+            rows.append(row)
+            if ckpt_fh:
+                ckpt_fh.write(json.dumps(row) + "\n")
+                ckpt_fh.flush()
     finally:
         if ckpt_fh:
             ckpt_fh.close()
 
-    tally = TrialTally(seed=cfg.sampler.seed)
-    for row in rows:
-        tally = tally.merge(_chunk_to_tally(row, cfg.sampler.seed))
-    tally.wall_time = time.perf_counter() - t0
+    tally = TrialTally(
+        **{key: sum(row[key] for row in rows) for key in
+           ("samples", "ppt_hits", "johnston_hits", "det_gt_hits_given_ppt")},
+        neg_eig_histogram=[sum(col) for col in
+                           zip(*(row["neg_eig_histogram"] for row in rows))],
+        seed=cfg.sampler.seed,
+        stream_ids=sorted({row["stream_id"] for row in rows}),
+        wall_time=time.perf_counter() - t0,
+    )
     return tally, experiment_report(cfg, tally)
 
 
 def experiment_report(cfg: ExperimentConfig, tally: TrialTally) -> dict:
+    """The run's estimate with its CI, and the PPT-conditioned Johnston and
+    det(rho^PT) > det(rho) rates; ``det_gt`` carries the determinantal
+    equipartition split with its own CI."""
     spec = cfg.sampler
     n, h = tally.samples, tally.ppt_hits
-    lo, hi = wald_ci(n, h, cfg.ci_level)
+    det_hits = tally.det_gt_hits_given_ppt
     return {
         "system": f"{spec.split[0]}x{spec.split[1]}",
         "field": spec.field,
@@ -322,14 +318,15 @@ def experiment_report(cfg: ExperimentConfig, tally: TrialTally) -> dict:
         "samples": n,
         "ppt_hits": h,
         "estimate": h / n if n else float("nan"),
-        "ci": [lo, hi],
+        "ci": _conditional_ci(n, h),
         "johnston": {
             "hits": tally.johnston_hits,
             "rate": tally.johnston_hits / h if h else float("nan"),
         },
         "det_gt": {
-            "hits": tally.det_gt_hits_given_ppt,
-            "rate": tally.det_gt_hits_given_ppt / h if h else float("nan"),
+            "hits": det_hits,
+            "rate": det_hits / h if h else float("nan"),
+            "ci": _conditional_ci(h, det_hits),
         },
         "neg_eig_histogram": list(tally.neg_eig_histogram),
         "seed": spec.seed,
@@ -339,7 +336,7 @@ def experiment_report(cfg: ExperimentConfig, tally: TrialTally) -> dict:
     }
 
 
-def wald_ci(samples: int, hits: int, level: float = 0.95) -> tuple[float, float]:
+def wald_ci(samples: int, hits: int, level: float = CI_LEVEL) -> tuple[float, float]:
     """Binomial confidence interval: Wald, with exact fallback near 0 or n.
 
     The Wald form p +- z sqrt(p(1-p)/n) reproduces the published intervals;
@@ -360,19 +357,9 @@ def wald_ci(samples: int, hits: int, level: float = 0.95) -> tuple[float, float]
     return p - half, p + half
 
 
-def equipartition_report(cfg: ExperimentConfig) -> dict:
-    """Fraction of PPT (separable, for 2x2 and 2x3) samples satisfying
-    det(rho^PT) > det(rho), with its own confidence interval."""
-    tally, report = run_experiment(cfg)
-    h, n = tally.det_gt_hits_given_ppt, tally.ppt_hits
-    lo, hi = wald_ci(max(n, 1), h, cfg.ci_level)
-    report["equipartition"] = {
-        "ppt_samples": n,
-        "det_gt_hits": h,
-        "rate": h / n if n else float("nan"),
-        "ci": [lo, hi],
-    }
-    return report
+def _conditional_ci(samples: int, hits: int) -> list[float]:
+    """:func:`wald_ci` at ``CI_LEVEL``, or [nan, nan] for an empty condition."""
+    return list(wald_ci(samples, hits)) if samples else [float("nan")] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +386,7 @@ def _chifit_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
 
 
 def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
-                           seed: int = 0, streams: int = 8, threads: int = 1,
-                           ci_level: float = 0.95) -> dict:
+                           seed: int = 0, streams: int = 8, threads: int = 1) -> dict:
     """Binned conditional PPT rate vs the singular-value ratio, for 2x2.
 
     Returns per-bin totals, rates, confidence intervals, the catalog
@@ -410,28 +396,14 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     if bins < 10:
         raise ValueError("need at least 10 bins")
     spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=seed)
-    cfg = ExperimentConfig(sampler=spec, target_samples=samples,
-                           streams=streams, threads=threads)
-    grid = _chunk_grid(cfg)
+    grid = _chunk_grid(samples, streams)
     totals = np.zeros(bins, dtype=np.int64)
     hits = np.zeros(bins, dtype=np.int64)
     discarded = 0
-    workers = pool_size(threads, len(grid), _usable_cores())
-    if workers <= 1:
-        results = (_chifit_chunk(spec, s, c, n, bins) for s, c, n in grid)
-        for row in results:
-            totals += np.asarray(row["totals"])
-            hits += np.asarray(row["hits"])
-            discarded += row["discarded"]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chifit_chunk, spec, s, c, n, bins)
-                       for s, c, n in grid]
-            for fut in as_completed(futures):
-                row = fut.result()
-                totals += np.asarray(row["totals"])
-                hits += np.asarray(row["hits"])
-                discarded += row["discarded"]
+    for row in _run_grid(partial(_chifit_chunk, bins=bins), spec, grid, threads):
+        totals += row["totals"]
+        hits += row["hits"]
+        discarded += row["discarded"]
 
     d = 2 if field == "C" else 1
     rows = []
@@ -440,7 +412,7 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
         mid = (lo_edge + hi_edge) / 2
         nb, hb = int(totals[i]), int(hits[i])
         rate = hb / nb if nb else float("nan")
-        ci = wald_ci(nb, hb, ci_level) if nb else (float("nan"), float("nan"))
+        ci = _conditional_ci(nb, hb)
         try:
             ref = chi_catalog(d, k, mid)
         except CatalogMiss:

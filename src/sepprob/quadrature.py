@@ -46,7 +46,7 @@ class ChiFunction:
     """A separability function eps -> chi(eps) on [0, 1] with provenance."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    provenance: str  # catalog | numeric | empirical | master
+    provenance: str  # catalog | master
     label: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -251,15 +251,6 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
     feasible = (r24 * r24 < a) & (r24 * r24 < b) & (r23 < eps)
     weight = (r14 * r23 * r24) ** (d - 1) * np.clip(a - r24 * r24, 0.0, None) ** k
     return float(np.mean(np.where(feasible, weight, 0.0))) / _chi_norm(d, int(k))
-
-
-def chi_numeric_function(d: int, k: int, nodes: int = 120) -> ChiFunction:
-    def evaluate(eps):
-        arr = np.asarray(eps, dtype=float)
-        out = np.array([chi_numeric(d, k, float(e), nodes) for e in arr.ravel()])
-        out = out.reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
-    return ChiFunction(evaluate, "numeric", f"numeric[{d},{k}]")
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix
-
 SAMPLER_VERSION = 3  # bump whenever the map from Philox draws to samples changes
 GRAM_BLOCK = 1024  # matrices per block of Bartlett draws and Gram product
 
@@ -109,11 +107,6 @@ class RandomStream:
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
 
-def stream_for(spec: SamplerSpec, counter: int = 0) -> RandomStream:
-    """The stream a spec designates, at a given chunk counter."""
-    return RandomStream(spec.seed, spec.stream_id, counter)
-
-
 def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
                          count: int) -> np.ndarray:
     """Stack of ``count`` induced-measure density matrices, shape (count, n, n).
@@ -154,15 +147,6 @@ def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
             raise ArithmeticError("Wishart draw with non-positive trace")
         blk.view(float).reshape(m, -1)[...] /= tr[:, None]
     return w
-
-
-def sample_induced(spec: SamplerSpec, stream: RandomStream | None = None) -> DensityMatrix:
-    """One induced-measure density matrix (PSD, unit trace, rank bounded by
-    the Wishart column count)."""
-    if stream is None:
-        stream = stream_for(spec)
-    rho = sample_induced_batch(spec, stream, 1)[0]
-    return DensityMatrix(spec.field, spec.n, spec.split, rho)
 
 
 def _x_dirichlet_alpha(field: str, n: int) -> np.ndarray:
@@ -216,14 +200,6 @@ def sample_x_state_batch(spec: SamplerSpec, stream: RandomStream,
     out[:, i, j] = z
     out[:, j, i] = np.conj(z)
     return out
-
-
-def sample_x_state(spec: SamplerSpec, stream: RandomStream | None = None) -> DensityMatrix:
-    """One X-state density matrix under the flat or det^k-weighted slice law."""
-    if stream is None:
-        stream = stream_for(spec)
-    rho = sample_x_state_batch(spec, stream, 1)[0]
-    return DensityMatrix(spec.field, spec.n, spec.split, rho)
 
 
 def sample_batch(spec: SamplerSpec, stream: RandomStream, count: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from sepprob.sampling import (
     SamplerSpec,
     sample_batch,
     sample_induced_batch,
-    stream_for,
 )
 
 
@@ -99,7 +98,7 @@ def test_det_inequality_side_invariance():
 
     rng = np.random.default_rng(3)
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=3)
-    batch = sample_induced_batch(spec, stream_for(spec), 2000)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
     da = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "A")), axis=1)
     db = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B")), axis=1)
     assert np.max(np.abs(da - db)) < 1e-12
@@ -111,7 +110,7 @@ def test_det_gt_is_ppt_conditioned_but_det_inequality_is_not():
     from sepprob.linalg import partial_transpose_batch
 
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=3)
-    batch = sample_induced_batch(spec, stream_for(spec), 2000)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
     pt_eigs = np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B"))
     det_gt = np.prod(pt_eigs, axis=1) > np.prod(np.linalg.eigvalsh(batch), axis=1)
     rows = np.flatnonzero(det_gt & (pt_eigs[:, 0] < -1e-6))
@@ -129,7 +128,7 @@ def test_neg_eig_count_ranges():
     for field, split, worst in (("C", (2, 2), 1), ("C", (2, 3), 2), ("R", (2, 3), 2)):
         n = split[0] * split[1]
         spec = SamplerSpec(field=field, n=n, split=split, k=0, seed=8)
-        batch = sample_induced_batch(spec, stream_for(spec), 100_000)
+        batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
         out = classify_batch(batch, *split)
         assert out["neg_pt_eigs"].max() <= worst
         assert out["neg_pt_eigs"].min() >= 0
@@ -137,14 +136,14 @@ def test_neg_eig_count_ranges():
 
 def test_johnston_implies_ppt_bulk():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=1, seed=12)
-    batch = sample_induced_batch(spec, stream_for(spec), 100_000)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
     out = classify_batch(batch, 2, 3)
     assert not np.any(out["johnston"] & ~out["is_ppt"])
 
 
 def test_classify_batch_matches_scalar_path():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=15)
-    batch = sample_induced_batch(spec, stream_for(spec), 200)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 200)
     out = classify_batch(batch, 2, 3)
     for i in range(0, 200, 23):
         v = classify(DensityMatrix("C", 6, (2, 3), batch[i]))

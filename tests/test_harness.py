@@ -13,8 +13,8 @@ from sepprob.harness import (
     TrialTally,
     build_info,
     conjecture_search,
-    equipartition_report,
     estimate_chi_empirical,
+    experiment_report,
     is_perfect_power,
     pool_size,
     run_experiment,
@@ -132,18 +132,25 @@ def test_experiment_merge_equals_single_run():
     # two half-budget runs on disjoint stream sets reproduce one full run
     cfg = small_cfg(target_samples=CHUNK_SAMPLES * 3, streams=3)
     full, _ = run_experiment(cfg)
-    from sepprob.harness import _chunk_to_tally, _experiment_chunk
+    from sepprob.harness import _experiment_chunk
 
     parts = []
     for sid in range(3):
-        spec = SamplerSpec(field="C", n=4, split=(2, 2), k=0, seed=1234,
-                           stream_id=sid)
-        row = _experiment_chunk(spec, sid, 0, CHUNK_SAMPLES)
-        parts.append(_chunk_to_tally(row, 1234))
+        row = _experiment_chunk(cfg.sampler, sid, 0, CHUNK_SAMPLES)
+        parts.append(TrialTally(
+            samples=row["samples"], ppt_hits=row["ppt_hits"],
+            johnston_hits=row["johnston_hits"],
+            det_gt_hits_given_ppt=row["det_gt_hits_given_ppt"],
+            neg_eig_histogram=row["neg_eig_histogram"], seed=1234,
+            stream_ids=[row["stream_id"]]))
     merged = parts[0].merge(parts[1]).merge(parts[2])
-    assert merged.counts_dict()["ppt_hits"] == full.counts_dict()["ppt_hits"]
-    assert merged.counts_dict()["neg_eig_histogram"] == \
-        full.counts_dict()["neg_eig_histogram"]
+    assert merged.counts_dict() == full.counts_dict()
+
+
+def test_experiment_refuses_an_empty_budget_or_bad_streams():
+    for overrides in ({"target_samples": 0}, {"streams": 0}, {"streams": 2**31 + 1}):
+        with pytest.raises(ValueError):
+            run_experiment(small_cfg(**overrides))
 
 
 def test_checkpoint_resume(tmp_path):
@@ -235,11 +242,25 @@ def test_checkpoint_torn_last_line(tmp_path):
         run_experiment(small_cfg(checkpoint=str(path)))
 
 
-def test_equipartition_report_smoke():
-    report = equipartition_report(small_cfg())
-    eq = report["equipartition"]
-    sigma = math.sqrt(0.25 / eq["ppt_samples"])
-    assert abs(eq["rate"] - 0.5) < 4 * sigma
+def test_det_gt_equipartition_smoke():
+    _, report = run_experiment(small_cfg())
+    det = report["det_gt"]
+    sigma = math.sqrt(0.25 / report["ppt_hits"])
+    assert abs(det["rate"] - 0.5) < 4 * sigma
+    assert det["ci"] == list(wald_ci(report["ppt_hits"], det["hits"]))
+    assert det["ci"][0] < det["rate"] < det["ci"][1]
+
+
+def test_det_gt_without_ppt_samples_has_no_interval():
+    # with no PPT sample the conditional rate is undefined; it once came
+    # with an interval of [0, 0.975]
+    tally = TrialTally(samples=1000, neg_eig_histogram=[0, 1000], seed=1)
+    report = experiment_report(small_cfg(), tally)
+    det = report["det_gt"]
+    assert det["hits"] == 0
+    assert math.isnan(det["rate"])
+    assert len(det["ci"]) == 2 and all(math.isnan(x) for x in det["ci"])
+    assert report["ci"] == list(wald_ci(1000, 0))
 
 
 def test_induced_order_convention_matches_exact_formulas():
@@ -280,6 +301,18 @@ def test_estimate_chi_empirical_shape_and_edges():
 def test_estimate_chi_empirical_validation():
     with pytest.raises(ValueError):
         estimate_chi_empirical("C", 1, 5, 1000)
+    with pytest.raises(ValueError):
+        estimate_chi_empirical("C", 1, 10, 0)
+    with pytest.raises(ValueError):
+        estimate_chi_empirical("C", 1, 10, 1000, streams=0)
+
+
+def test_estimate_chi_empirical_bit_identical_across_thread_counts():
+    tables = [estimate_chi_empirical("R", 1, 20, 140_000, seed=11, streams=3,
+                                     threads=t) for t in (1, 2)]
+    for table in tables:
+        del table["build_info"]
+    assert json.dumps(tables[0]) == json.dumps(tables[1])
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +384,13 @@ def test_cli_estimate_and_chi_fit(tmp_path, capsys):
     csv_text = capsys.readouterr().out
     header = csv_text.splitlines()[0]
     assert header == "bin_lo,bin_hi,n,rate,ci_lo,ci_hi,chi_ref,residual"
+
+
+def test_cli_quadrature_refuses_an_endless_eps_grid():
+    from sepprob.cli import main
+    for grid in ("0.1:1.0:0", "0.1:1.0:-0.1", "1.0:0.1:0.1"):
+        with pytest.raises(SystemExit):
+            main(["quadrature", "--d", "2", "--eps-grid", grid])
 
 
 def test_cli_quadrature_csv(capsys):

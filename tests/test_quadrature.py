@@ -118,13 +118,6 @@ def test_chi_numeric_qmc_oracle_agrees():
         assert v == pytest.approx(chi_catalog(d, k, eps), abs=1e-3)
 
 
-def test_chi_numeric_function_wrapper():
-    f = qd.chi_numeric_function(2, 1)
-    assert f.provenance == "numeric"
-    out = f(np.array([0.25, 0.5]))
-    assert out[1] == pytest.approx(0.47265625, abs=1e-10)
-
-
 def test_chi_xstate():
     assert qd.chi_xstate(1, 0.5) == 0.5
     assert qd.chi_xstate(2, 1.0) == 1.0

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from sepprob.linalg import DensityMatrix
 from sepprob.sampling import (
     RandomStream,
     SamplerSpec,
     sample_batch,
-    sample_induced,
     sample_induced_batch,
-    sample_x_state,
     sample_x_state_batch,
-    stream_for,
 )
 
 # frozen from the independent partial-trace oracle (400k pure states on
@@ -103,22 +101,21 @@ def test_spec_validation():
 
 
 def test_induced_sample_is_valid_state():
-    spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=1)
-    rho = sample_induced(spec)
-    rho.validate()
-    spec_r = SamplerSpec(field="R", n=6, split=(2, 3), k=1, seed=1)
-    rho = sample_induced(spec_r)
-    rho.validate()
+    for field, k in (("C", 0), ("R", 1)):
+        spec = SamplerSpec(field=field, n=6, split=(2, 3), k=k, seed=1)
+        batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+        rho = DensityMatrix(spec.field, spec.n, spec.split, batch[0])
+        rho.validate()
     assert np.max(np.abs(rho.entries.imag)) == 0
 
 
 def test_induced_determinism():
     spec = SamplerSpec(field="C", n=4, split=(2, 2), k=0, seed=123, stream_id=5)
-    a = sample_induced(spec, stream_for(spec))
-    b = sample_induced(spec, stream_for(spec))
-    assert np.array_equal(a.entries, b.entries)
-    c = sample_induced(spec, RandomStream(123, 6, 0))
-    assert not np.array_equal(a.entries, c.entries)
+    a = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+    b = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+    assert np.array_equal(a, b)
+    c = sample_induced_batch(spec, RandomStream(123, 6, 0), 1)
+    assert not np.array_equal(a, c)
 
 
 def test_random_stream_seed_range():
@@ -134,19 +131,20 @@ def test_induced_rank_deficit_for_negative_k():
     # rank is bounded by the Wishart column count: n + k over C,
     # n + 1 + 2k over R (the det^k-weight convention)
     spec = SamplerSpec(field="R", n=6, split=(2, 3), k=-2, seed=9)
-    batch = sample_induced_batch(spec, stream_for(spec), 64)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 64)
     ev = np.linalg.eigvalsh(batch)
     assert np.max(np.abs(ev[:, :3])) < 1e-12  # cols = 3: rank <= 3
     assert np.min(ev[:, 3]) > 1e-12
     spec1 = SamplerSpec(field="C", n=6, split=(2, 3), k=-1, seed=9)
-    ev1 = np.linalg.eigvalsh(sample_induced_batch(spec1, stream_for(spec1), 64))
+    batch1 = sample_induced_batch(spec1, RandomStream(spec1.seed, spec1.stream_id), 64)
+    ev1 = np.linalg.eigvalsh(batch1)
     assert np.max(np.abs(ev1[:, 0])) < 1e-12  # cols = 5: rank <= 5
     assert np.min(ev1[:, 1]) > 1e-12
 
 
 def test_induced_batch_invariants_bulk():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=21)
-    batch = sample_induced_batch(spec, stream_for(spec), 100_000)
+    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
     tr = np.trace(batch, axis1=1, axis2=2)
     assert np.max(np.abs(tr - 1)) < 1e-12
     assert np.max(np.abs(batch - batch.conj().swapaxes(1, 2))) < 1e-14
@@ -203,7 +201,7 @@ def test_x_state_structure():
     for field, n, split in (("C", 4, (2, 2)), ("R", 6, (2, 3)), ("R", 9, (3, 3))):
         spec = SamplerSpec(field=field, n=n, split=split, k=0,
                            family="x_state", seed=2)
-        batch = sample_x_state_batch(spec, stream_for(spec), 500)
+        batch = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 500)
         mask = np.ones((n, n), dtype=bool)
         idx = np.arange(n)
         mask[idx, idx] = False
@@ -212,8 +210,8 @@ def test_x_state_structure():
         assert np.allclose(np.trace(batch, axis1=1, axis2=2).real, 1.0)
         ev = np.linalg.eigvalsh(batch)
         assert np.min(ev) > -1e-13
-        rho = sample_x_state(spec)
-        rho.validate()
+        one = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+        DensityMatrix(spec.field, spec.n, spec.split, one[0]).validate()
 
 
 # (field, n, k, oracle samples): the oracle's acceptance falls with n and k
@@ -249,8 +247,8 @@ def test_x_state_direct_matches_rejection_oracle():
 def test_x_state_induced_k_thinning_lowers_spread():
     spec0 = SamplerSpec(field="R", n=4, split=(2, 2), k=0, family="x_state", seed=5)
     spec2 = SamplerSpec(field="R", n=4, split=(2, 2), k=2, family="x_state", seed=5)
-    a = sample_x_state_batch(spec0, stream_for(spec0), 20_000)
-    b = sample_x_state_batch(spec2, stream_for(spec2), 20_000)
+    a = sample_x_state_batch(spec0, RandomStream(spec0.seed, spec0.stream_id), 20_000)
+    b = sample_x_state_batch(spec2, RandomStream(spec2.seed, spec2.stream_id), 20_000)
     # det^k weighting concentrates toward the maximally mixed state
     spread0 = np.var(a[:, 0, 0].real)
     spread2 = np.var(b[:, 0, 0].real)
@@ -278,17 +276,17 @@ def test_stream_independence_pooled_variance():
 
 def test_sample_batch_dispatch():
     spec = SamplerSpec(field="C", n=4, split=(2, 2), k=0, family="x_state", seed=1)
-    batch = sample_batch(spec, stream_for(spec), 8)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 8)
     assert batch.shape == (8, 4, 4)
     spec_full = SamplerSpec(field="R", n=4, split=(2, 2), k=0, seed=1)
-    batch = sample_batch(spec_full, stream_for(spec_full), 8)
+    batch = sample_batch(spec_full, RandomStream(spec_full.seed, spec_full.stream_id), 8)
     assert batch.dtype == np.float64
 
 
 def test_x_state_high_order_needs_no_rejection():
     # R 3x3 at k = 3 once hit the thinning sampler's cap of proposal rounds
     spec = SamplerSpec(field="R", n=9, split=(3, 3), k=3, family="x_state", seed=1)
-    batch = sample_x_state_batch(spec, stream_for(spec), 10_000)
+    batch = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 10_000)
     assert batch.shape == (10_000, 9, 9)
     mask = np.ones((9, 9), dtype=bool)
     idx = np.arange(9)
