@@ -281,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as exc:  # an input the library refuses: a usage error
+        parser.error(str(exc))
     return 0
 
 

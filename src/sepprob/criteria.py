@@ -40,6 +40,17 @@ DET_TIE_RTOL (relative) of a tie are not certified.  That relative margin
 is a practical one, far above the few-ulp error either determinant
 carries on certified rows, not a worst-case bound.  Every uncertified row
 takes the reference path.
+
+States arrive in blocks of ``GRAM_BLOCK``, laid out (n, n, m) with the
+matrix index last, as the sampler writes them (``classify_blocks``); a
+(count, n, n) stack is read through transposed views of its blocks
+(``classify_batch``).  Each block's partial transpose is written into the
+LDL^H buffer, and every elimination step updates the whole block at once.
+Of each block only the certified PPT rows (to the front) and the
+uncertified rows (to the back) are copied out, as matrices, into one
+buffer for all the states.  After the last block, eigvalsh reads the
+buffer's front rows where they lie, and the rows left open feed one
+reference call.
 """
 from __future__ import annotations
 
@@ -48,11 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, Spectrum, partial_transpose_batch
+from .sampling import GRAM_BLOCK
 
 PSD_TOL = 1e-13  # scaled by the (unit) trace
 ROUNDING = 1e-12  # c n u, c <= 100, n <= 64: backward error per unit scale
 CERT_FLOOR = 1e-9  # least certified |eigenvalue| per unit of LDL^H growth
-LDL_BLOCK = 1024  # matrices per block; smaller than one 65,536-row (count, n) row
 DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
 
 
@@ -110,61 +121,88 @@ def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarr
             "johnston": johnston}
 
 
-def _ldl_inertia(rhos: np.ndarray, dA: int, dB: int) -> tuple[np.ndarray, ...]:
-    """Unpivoted LDL^H of the partial transposes (over B) of ``rhos``.
+def _block_inertia(blocks, dA: int, dB: int):
+    """Unpivoted LDL^H of the partial transposes (over B) of blocks of states.
 
-    Returns the negative-pivot count, the pivot product det(rho^PT) and a
-    per-row certificate that the count is the one the eigvalsh reference
-    would report (see the module notes).  The stack is factored LDL_BLOCK
-    matrices at a time: each block's partial transpose is written straight
-    into a matrix-index-major copy, so that every update runs along the
-    block and no full-stack rho^PT is built; ``rhos`` is left untouched.
-    """
-    count, n = rhos.shape[0], dA * dB
-    piv = np.empty((n, count))
-    fro2 = np.empty(count)  # ||A||_F^2
-    growth = np.zeros(count)  # sum_k |d_k| ||l_k||^2 >= || |L||D||L^H| ||_2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(0, count, LDL_BLOCK):
-            blk = slice(s, s + LDL_BLOCK)
-            src = rhos[blk].reshape(-1, dA, dB, dA, dB)
-            a = np.empty((n, n, src.shape[0]), dtype=rhos.dtype)
-            # a[(a1 b1), (a2 b2)] = rho[(a1 b2), (a2 b1)]
-            a.reshape(dA, dB, dA, dB, -1)[...] = src.transpose(1, 4, 3, 2, 0)
-            fro2[blk] = np.square(np.abs(a)).sum(axis=(0, 1))
-            for j in range(n):
-                d = a[j, j].real
-                piv[j, blk] = d
-                u = a[j, j + 1:] / d  # row j of L^H
-                growth[blk] += np.abs(d) * (1.0 + np.square(np.abs(u)).sum(axis=0))
-                for i in range(j + 1, n):
-                    a[i, i:] -= a[j, i].conj() * u[i - j - 1:]
-        det = np.prod(piv, axis=0)
-        # |det| over the AM-GM bound on the other n-1 singular values
-        fro = np.sqrt(fro2) + np.sqrt(n) * ROUNDING * growth
-        mu = np.abs(det) * ((n - 1) / fro**2) ** ((n - 1) / 2)
-        cert = (mu >= CERT_FLOOR * (1.0 + growth)) & np.isfinite(piv).all(axis=0)
-    return np.count_nonzero(piv < 0, axis=0), det, cert
-
-
-def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
-    """Vectorized verdicts for a stack of states (the Monte Carlo hot path).
-
-    Returns boolean/int arrays: is_ppt, neg_pt_eigs, det_gt, johnston.
-    The det_gt and johnston entries are PPT-conditioned (False on every
-    non-PPT row); johnston is identically False for systems with no
-    two-level factor.  Rows the LDL^H certificate cannot settle take the
-    eigvalsh reference path (see the module notes).
+    For each (lo, w) of ``blocks``, w of shape (n, n, m) with the matrix
+    index last, yields (lo, w, neg, det, cert): the negative-pivot count,
+    the pivot product det(rho^PT) and a per-row certificate that the count
+    is the one the eigvalsh reference would report (see the module notes).
+    ``w`` is left untouched.  Each partial transpose is an index permutation
+    of its block, written straight into the factorisation buffer, and every
+    update runs along the block; the buffers are reused by every block of
+    the same size.
     """
     n = dA * dB
-    neg, det_pt, cert = _ldl_inertia(rhos, dA, dB)
-    is_ppt = neg == 0
-    det_gt = np.zeros(rhos.shape[0], dtype=bool)
-    johnston = np.zeros(rhos.shape[0], dtype=bool)
+    a = None
+    for lo, w in blocks:
+        m = w.shape[-1]
+        if a is None or a.shape[-1] != m:
+            a = np.empty((n, n, m), dtype=w.dtype)
+            mag = np.empty((n, n, m))
+            piv = np.empty((n, m))
+            u = np.empty((n, m), dtype=w.dtype)
+            step = np.empty((n, m), dtype=w.dtype)
+        # a[(a1 b1), (a2 b2)] = rho[(a1 b2), (a2 b1)]
+        a.reshape(dA, dB, dA, dB, m)[...] = w.reshape(dA, dB, dA, dB, m).transpose(0, 3, 2, 1, 4)
+        fro2 = np.square(np.abs(a, out=mag), out=mag).sum(axis=(0, 1))  # ||A||_F^2
+        growth = np.zeros(m)  # sum_k |d_k| ||l_k||^2 >= || |L||D||L^H| ||_2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(n):
+                d = a[j, j].real
+                piv[j] = d
+                row = np.divide(a[j, j + 1:], d, out=u[:n - j - 1])  # row j of L^H
+                growth += np.abs(d) * (1.0 + np.square(np.abs(row)).sum(axis=0))
+                lead = a[j, j + 1:].conj()
+                for i in range(j + 1, n):
+                    a[i, i:] -= np.multiply(lead[i - j - 1], row[i - j - 1:], out=step[:n - i])
+            det = np.prod(piv, axis=0)
+            # |det| over the AM-GM bound on the other n-1 singular values
+            fro = np.sqrt(fro2) + np.sqrt(n) * ROUNDING * growth
+            mu = np.abs(det) * ((n - 1) / fro**2) ** ((n - 1) / 2)
+            cert = (mu >= CERT_FLOOR * (1.0 + growth)) & np.isfinite(piv).all(axis=0)
+        yield lo, w, np.count_nonzero(piv < 0, axis=0), det, cert
 
-    rows = np.flatnonzero(cert & is_ppt)
-    if rows.size:
-        rho_eigs = np.linalg.eigvalsh(rhos[rows])
+
+def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarray]:
+    """Verdicts for ``count`` states given as (lo, w) blocks (the Monte Carlo
+    hot path), w of shape (n, n, m) holding states lo, ..., lo + m - 1.
+
+    Returns boolean/int arrays over the states: is_ppt, neg_pt_eigs, det_gt,
+    johnston.  The det_gt and johnston entries are PPT-conditioned (False
+    on every non-PPT row); johnston is identically False for systems with
+    no two-level factor.  Each block is factored as it arrives, so a
+    generator of blocks is never held whole; rows the certificates cannot
+    settle take the eigvalsh reference path (see the module notes).
+    """
+    n = dA * dB
+    neg = np.empty(count, dtype=np.intp)
+    det_pt = np.empty(count)
+    cert = np.empty(count, dtype=bool)
+    buf = None  # (count, n, n), touched only as far as rows are copied in
+    state = np.empty(count, dtype=np.intp)  # the state held by each buffer row
+    front, back = 0, count
+    for lo, w, *inertia in _block_inertia(blocks, dA, dB):
+        blk = slice(lo, lo + w.shape[-1])
+        neg[blk], det_pt[blk], cert[blk] = inertia
+        if buf is None:
+            buf = np.empty((count, n, n), dtype=w.dtype)
+        rows = np.flatnonzero(cert[blk] & (neg[blk] == 0))
+        buf[front:front + rows.size] = w[:, :, rows].transpose(2, 0, 1)
+        state[front:front + rows.size] = lo + rows
+        front += rows.size
+        rows = np.flatnonzero(~cert[blk])
+        buf[back - rows.size:back] = w[:, :, rows].transpose(2, 0, 1)
+        state[back - rows.size:back] = lo + rows
+        back -= rows.size
+
+    is_ppt = neg == 0
+    det_gt = np.zeros(count, dtype=bool)
+    johnston = np.zeros(count, dtype=bool)
+    ok = np.ones(front, dtype=bool)
+    if front:
+        rows = state[:front]
+        rho_eigs = np.linalg.eigvalsh(buf[:front])
         det_rho = np.prod(rho_eigs, axis=-1)
         det_pt_rows = det_pt[rows]
         if dA == 2 or dB == 2:
@@ -174,18 +212,27 @@ def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
         # at most ROUNDING (n-1)^(1-n); rows that close to a tie take the
         # reference
         gap = np.abs(det_pt_rows - det_rho)
-        cert[rows] = gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt_rows), np.abs(det_rho))
-                            + ROUNDING * (n - 1.0) ** (1 - n))
+        ok = gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt_rows), np.abs(det_rho))
+                    + ROUNDING * (n - 1.0) ** (1 - n))
 
-    rows = np.flatnonzero(~cert)
-    if rows.size:
-        ref = _classify_eigvalsh(rhos[rows], dA, dB)
-        neg[rows] = ref["neg_pt_eigs"]
-        is_ppt[rows] = ref["is_ppt"]
-        det_gt[rows] = ref["det_gt"]
-        johnston[rows] = ref["johnston"]
+    ref = np.concatenate((np.flatnonzero(~ok), np.arange(back, count)))
+    if ref.size:
+        rows = state[ref]
+        out = _classify_eigvalsh(buf[ref], dA, dB)
+        neg[rows] = out["neg_pt_eigs"]
+        is_ppt[rows] = out["is_ppt"]
+        det_gt[rows] = out["det_gt"]
+        johnston[rows] = out["johnston"]
     return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
             "johnston": johnston}
+
+
+def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
+    """Vectorized verdicts for a stack of states, shape (count, n, n): the
+    :func:`classify_blocks` verdicts of its ``GRAM_BLOCK``-row blocks."""
+    blocks = ((lo, rhos[lo:lo + GRAM_BLOCK].transpose(1, 2, 0))
+              for lo in range(0, rhos.shape[0], GRAM_BLOCK))
+    return classify_blocks(blocks, rhos.shape[0], dA, dB)
 
 
 def classify(rho: DensityMatrix) -> SampleVerdict:

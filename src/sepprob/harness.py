@@ -35,10 +35,10 @@ import scipy
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm as norm_dist
 
-from .criteria import classify_batch
+from .criteria import classify_blocks
 from .exactmath import CatalogMiss, chi_catalog, is_prime
 from .linalg import epsilon_ratio_batch_2x2
-from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch
+from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_blocks
 
 CHUNK_SAMPLES = 65_536
 CI_LEVEL = 0.95
@@ -159,12 +159,17 @@ def _chunk_grid(total: int, streams: int) -> list[tuple[int, int, int]]:
     return grid
 
 
+def _chunk_blocks(spec: SamplerSpec, stream_id: int, chunk_index: int, count: int):
+    """The chunk's states as :func:`sample_blocks` yields them, from its own
+    Philox stream."""
+    stream = RandomStream(spec.seed, stream_id, chunk_index)
+    return sample_blocks(replace(spec, stream_id=stream_id), stream, count)
+
+
 def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
                       count: int) -> dict:
-    stream = RandomStream(spec.seed, stream_id, chunk_index)
-    rhos = sample_batch(replace(spec, stream_id=stream_id), stream, count)
-    dA, dB = spec.split
-    out = classify_batch(rhos, dA, dB)
+    out = classify_blocks(_chunk_blocks(spec, stream_id, chunk_index, count),
+                          count, *spec.split)
     hist = np.bincount(out["neg_pt_eigs"], minlength=spec.n + 1)
     return {
         "stream_id": stream_id,
@@ -368,10 +373,14 @@ def _conditional_ci(samples: int, hits: int) -> list[float]:
 
 def _chifit_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
                   count: int, bins: int) -> dict:
-    stream = RandomStream(spec.seed, stream_id, chunk_index)
-    rhos = sample_batch(replace(spec, stream_id=stream_id), stream, count)
-    eps = epsilon_ratio_batch_2x2(rhos)
-    out = classify_batch(rhos, 2, 2)
+    eps = np.empty(count)
+
+    def blocks():  # each block's epsilon ratio, read before it is classified
+        for lo, w in _chunk_blocks(spec, stream_id, chunk_index, count):
+            eps[lo:lo + w.shape[-1]] = epsilon_ratio_batch_2x2(w.transpose(2, 0, 1))
+            yield lo, w
+
+    out = classify_blocks(blocks(), count, 2, 2)
     good = np.isfinite(eps)
     idx = np.minimum((eps[good] * bins).astype(int), bins - 1)
     totals = np.bincount(idx, minlength=bins)

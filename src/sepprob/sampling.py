@@ -29,7 +29,11 @@ the draws come in this order: the diagonal gammas as an (r, m) array
 entries of row i as a (min(i, r), m) array of normals (over C each entry
 takes two consecutive normals, real part first).  W is built a column at a
 time from the rows of L, its trace is summed from the same squares, and
-the block is divided by it in place.
+the block is divided by it in place.  A block is laid out (n, n, m), matrix
+index last, so every write runs along the block and the classifier reads
+the block as it is (``criteria.classify_blocks``); ``sample_batch`` stacks
+the blocks as (count, n, n) for callers that want whole matrices.  The
+layout does not touch the draws or their order.
 
 X-states follow the det(rho)^k-weighted flat law on their matrix slice
 (diagonal plus anti-diagonal), drawn exactly and without rejection: the
@@ -107,28 +111,30 @@ class RandomStream:
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
-                         count: int) -> np.ndarray:
-    """Stack of ``count`` induced-measure density matrices, shape (count, n, n).
+def _induced_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
+    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` induced states,
+    w of shape (n, n, m) holding states lo, ..., lo + m - 1 (matrix index
+    last).
 
-    Real-field output is a float64 array; complex-field is complex128.
-    Draws the Bartlett factor of each state ``GRAM_BLOCK`` states at a time,
-    in the order the module notes give, and writes each block's W = L L*
-    straight into the output.
+    Draws each block's Bartlett factors in the order the module notes give,
+    builds W = L L* a column at a time and divides it by its trace.  The
+    buffers, ``w`` included, are reused by the next block of the same size.
     """
-    if spec.family != "full":
-        raise ValueError("induced sampler serves the full family")
     rng = stream.generator
     n, cols = spec.n, wishart_columns(spec.field, spec.n, spec.k)
     r = min(n, cols)
     cplx = spec.field == "C"
+    dtype = complex if cplx else float
     shape = (cols - np.arange(r)) / (1.0 if cplx else 2.0)  # beta (cols - i) / 2
-    w = np.empty((count, n, n), dtype=complex if cplx else float)
+    w = None
     for lo in range(0, count, GRAM_BLOCK):
-        blk = w[lo:lo + GRAM_BLOCK]
-        m = blk.shape[0]
+        m = min(GRAM_BLOCK, count - lo)
+        if w is None or w.shape[-1] != m:
+            # L, matrix index last; only its lower triangle is written or read
+            low = np.zeros((n, r, m), dtype=dtype)
+            prod = np.empty((n, r, m), dtype=dtype)
+            w = np.empty((n, n, m), dtype=dtype)
         gam = rng.standard_gamma(shape[:, None], (r, m))
-        low = np.zeros((n, r, m), dtype=w.dtype)  # L, matrix index last
         draws = low.view(float)  # over C, (re, im) pairs along the last axis
         for i in range(1, n):
             rng.standard_normal(out=draws[i, :min(i, r)])
@@ -137,16 +143,16 @@ def sample_induced_batch(spec: SamplerSpec, stream: RandomStream,
         tr = np.zeros(m)
         for j in range(n):
             c = min(j + 1, r)
-            col = (low[j:, :c] * low[j, :c].conj()).sum(axis=1)  # W[j:, j]
+            col = w[j:, j]
+            np.multiply(low[j:, :c], low[j, :c].conj(), out=prod[j:, :c]).sum(axis=1, out=col)
             if cplx:  # z * conj(z) keeps a rounding-level imaginary part
                 col[0].imag = 0.0
             tr += col[0].real
-            blk[:, j:, j] = col.T
-            blk[:, j, j + 1:] = col[1:].T.conj()
+            np.conjugate(col[1:], out=w[j, j + 1:])
         if not np.all(tr > 0.0):  # pragma: no cover - probability zero
             raise ArithmeticError("Wishart draw with non-positive trace")
-        blk.view(float).reshape(m, -1)[...] /= tr[:, None]
-    return w
+        w.view(float)[...] /= np.repeat(tr, 2) if cplx else tr
+        yield lo, w
 
 
 def _x_dirichlet_alpha(field: str, n: int) -> np.ndarray:
@@ -163,9 +169,9 @@ def _x_dirichlet_alpha(field: str, n: int) -> np.ndarray:
     return alpha
 
 
-def sample_x_state_batch(spec: SamplerSpec, stream: RandomStream,
-                         count: int) -> np.ndarray:
-    """Stack of ``count`` X-states (nonzero entries on the two diagonals only).
+def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
+    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` X-states (nonzero
+    entries on the two diagonals only), w of shape (n, n, m).
 
     Draws the det(rho)^k-weighted flat law on the X-slice exactly, for
     every k >= 0, in one pass with no rejection.  On the slice, det(rho) is
@@ -178,9 +184,10 @@ def sample_x_state_batch(spec: SamplerSpec, stream: RandomStream,
       independent Gamma(k + 1);
     - C: s ~ Beta(1, k + 1), drawn by inversion as 1 - U^(1/(k+1)), with a
       uniform phase.
+
+    The whole chunk's diagonals and anti-diagonals are drawn first, in that
+    order; only the blocks are assembled one at a time.
     """
-    if spec.family != "x_state":
-        raise ValueError("X-state sampler serves the x_state family")
     rng = stream.generator
     n, k = spec.n, spec.k
     i = np.arange(n // 2)  # pair (i, j) holds the anti-diagonal entry z
@@ -194,16 +201,36 @@ def sample_x_state_batch(spec: SamplerSpec, stream: RandomStream,
     else:
         x, y = rng.standard_gamma(k + 1.0, (2, count, i.size))
         z = bound * ((x - y) / (x + y))
-    out = np.zeros((count, n, n), dtype=z.dtype)
     rows = np.arange(n)
-    out[:, rows, rows] = diag
-    out[:, i, j] = z
-    out[:, j, i] = np.conj(z)
-    return out
+    w = None
+    for lo in range(0, count, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, count)
+        if w is None or w.shape[-1] != hi - lo:  # off the X its entries stay 0
+            w = np.zeros((n, n, hi - lo), dtype=z.dtype)
+        w[rows, rows] = diag[lo:hi].T
+        w[i, j] = z[lo:hi].T
+        w[j, i] = np.conj(z[lo:hi]).T
+        yield lo, w
+
+
+def sample_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
+    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` states of the spec's
+    family, w of shape (n, n, m) holding states lo, ..., lo + m - 1.
+
+    ``w`` is valid until the next block is drawn, which may overwrite it.
+    """
+    if spec.family == "full":
+        return _induced_blocks(spec, stream, count)
+    return _x_state_blocks(spec, stream, count)
 
 
 def sample_batch(spec: SamplerSpec, stream: RandomStream, count: int) -> np.ndarray:
-    """Dispatch to the family-appropriate batch sampler."""
-    if spec.family == "full":
-        return sample_induced_batch(spec, stream, count)
-    return sample_x_state_batch(spec, stream, count)
+    """Stack of ``count`` states, shape (count, n, n): the blocks of
+    :func:`sample_blocks`, matrix index first.
+
+    Real-field output is a float64 array; complex-field is complex128.
+    """
+    out = np.empty((count, spec.n, spec.n), dtype=complex if spec.field == "C" else float)
+    for lo, w in sample_blocks(spec, stream, count):
+        out[lo:lo + w.shape[-1]] = w.transpose(2, 0, 1)
+    return out

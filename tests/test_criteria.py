@@ -12,13 +12,8 @@ from sepprob.criteria import (
     johnston_from_spectrum,
 )
 from sepprob.linalg import DensityMatrix, Spectrum
-from sepprob.harness import ExperimentConfig, run_experiment
-from sepprob.sampling import (
-    RandomStream,
-    SamplerSpec,
-    sample_batch,
-    sample_induced_batch,
-)
+from sepprob.harness import ExperimentConfig, estimate_chi_empirical, run_experiment
+from sepprob.sampling import RandomStream, SamplerSpec, sample_batch
 
 
 def bell():
@@ -98,7 +93,7 @@ def test_det_inequality_side_invariance():
 
     rng = np.random.default_rng(3)
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=3)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
     da = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "A")), axis=1)
     db = np.prod(np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B")), axis=1)
     assert np.max(np.abs(da - db)) < 1e-12
@@ -110,7 +105,7 @@ def test_det_gt_is_ppt_conditioned_but_det_inequality_is_not():
     from sepprob.linalg import partial_transpose_batch
 
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=3)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 2000)
     pt_eigs = np.linalg.eigvalsh(partial_transpose_batch(batch, 2, 3, "B"))
     det_gt = np.prod(pt_eigs, axis=1) > np.prod(np.linalg.eigvalsh(batch), axis=1)
     rows = np.flatnonzero(det_gt & (pt_eigs[:, 0] < -1e-6))
@@ -128,7 +123,7 @@ def test_neg_eig_count_ranges():
     for field, split, worst in (("C", (2, 2), 1), ("C", (2, 3), 2), ("R", (2, 3), 2)):
         n = split[0] * split[1]
         spec = SamplerSpec(field=field, n=n, split=split, k=0, seed=8)
-        batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
+        batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
         out = classify_batch(batch, *split)
         assert out["neg_pt_eigs"].max() <= worst
         assert out["neg_pt_eigs"].min() >= 0
@@ -136,14 +131,14 @@ def test_neg_eig_count_ranges():
 
 def test_johnston_implies_ppt_bulk():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=1, seed=12)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
     out = classify_batch(batch, 2, 3)
     assert not np.any(out["johnston"] & ~out["is_ppt"])
 
 
 def test_classify_batch_matches_scalar_path():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=15)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 200)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 200)
     out = classify_batch(batch, 2, 3)
     for i in range(0, 200, 23):
         v = classify(DensityMatrix("C", 6, (2, 3), batch[i]))
@@ -221,13 +216,18 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
 # counts_dict of two 65,536-sample chunks (streams=2, seed 2027), recorded
 # with the eigvalsh-only classifier; the inertia path must reproduce them.
 # The rows are from sampler version 3: Bartlett-drawn full-family states and
-# direct det^k X-state draws.
+# direct det^k X-state draws.  The C 2x2, R 2x2, C 2x4 and X-state R 2x2
+# rows cover the remaining benchmark systems.
 GOLDEN_TALLIES = [
     ("C", (2, 3), 0, "full", 3594, 0, 1784, [3594, 123402, 4076, 0, 0, 0, 0]),
     ("C", (2, 3), -2, "full", 21, 0, 21, [21, 102631, 28420, 0, 0, 0, 0]),
     ("R", (2, 4), 0, "full", 3257, 0, 1641, [3257, 93355, 34442, 18, 0, 0, 0, 0, 0]),
     ("C", (3, 3), 0, "full", 16, 0, 8, [16, 47562, 82901, 593, 0, 0, 0, 0, 0, 0]),
     ("R", (2, 3), 1, "x_state", 101043, 10305, 43507, [101043, 30029, 0, 0, 0, 0, 0]),
+    ("C", (2, 2), 0, "full", 31926, 466, 15983, [31926, 99146, 0, 0, 0]),
+    ("R", (2, 2), 0, "full", 59219, 4526, 29456, [59219, 71853, 0, 0, 0]),
+    ("C", (2, 4), 0, "full", 181, 0, 94, [181, 84957, 45934, 0, 0, 0, 0, 0, 0]),
+    ("R", (2, 2), 1, "x_state", 100862, 54721, 43416, [100862, 30210, 0, 0, 0]),
 ]
 
 
@@ -241,3 +241,16 @@ def test_golden_tallies(field, split, k, family, ppt, johnston, det_gt, hist):
         "samples": 131_072, "ppt_hits": ppt, "johnston_hits": johnston,
         "det_gt_hits_given_ppt": det_gt, "neg_eig_histogram": hist,
         "seed": 2027, "stream_ids": [0, 1]}
+
+
+# estimate_chi_empirical C k=1, 10 bins, on the same grid: per-bin sample
+# counts and PPT hits, recorded with the eigvalsh-only classifier
+GOLDEN_CHIFIT_TOTALS = [92, 3483, 16044, 28711, 31505, 25069, 15954, 7543, 2360, 311]
+GOLDEN_CHIFIT_HITS = [2, 216, 2263, 7331, 12529, 13739, 11161, 6258, 2192, 303]
+
+
+def test_golden_chi_fit_table():
+    table = estimate_chi_empirical("C", 1, 10, 131_072, seed=2027, streams=2)
+    assert [row["n"] for row in table["rows"]] == GOLDEN_CHIFIT_TOTALS
+    assert [round(row["rate"] * row["n"]) for row in table["rows"]] == GOLDEN_CHIFIT_HITS
+    assert table["discarded"] == 0

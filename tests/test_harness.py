@@ -2,15 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sepprob.criteria import classify_batch, classify_blocks
 from sepprob.harness import (
     CHUNK_SAMPLES,
     ConjectureCandidate,
     ExperimentConfig,
     TrialTally,
+    _chifit_chunk,
+    _chunk_blocks,
+    _experiment_chunk,
     build_info,
     conjecture_search,
     estimate_chi_empirical,
@@ -21,7 +31,8 @@ from sepprob.harness import (
     stream_quotas,
     wald_ci,
 )
-from sepprob.sampling import SAMPLER_VERSION, SamplerSpec
+from sepprob.linalg import epsilon_ratio_batch_2x2
+from sepprob.sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch
 
 
 def small_cfg(**overrides):
@@ -132,8 +143,6 @@ def test_experiment_merge_equals_single_run():
     # two half-budget runs on disjoint stream sets reproduce one full run
     cfg = small_cfg(target_samples=CHUNK_SAMPLES * 3, streams=3)
     full, _ = run_experiment(cfg)
-    from sepprob.harness import _experiment_chunk
-
     parts = []
     for sid in range(3):
         row = _experiment_chunk(cfg.sampler, sid, 0, CHUNK_SAMPLES)
@@ -145,6 +154,77 @@ def test_experiment_merge_equals_single_run():
             stream_ids=[row["stream_id"]]))
     merged = parts[0].merge(parts[1]).merge(parts[2])
     assert merged.counts_dict() == full.counts_dict()
+
+
+def _composed_verdicts(spec, stream_id, chunk_index, count):
+    """The public composition the chunk kernel must equal row for row."""
+    stream = RandomStream(spec.seed, stream_id, chunk_index)
+    rhos = sample_batch(replace(spec, stream_id=stream_id), stream, count)
+    return rhos, classify_batch(rhos, *spec.split)
+
+
+KERNEL_SPECS = [
+    *[(field, split, k, "full") for field in "RC" for split in ((2, 2), (2, 3), (2, 4), (3, 3))
+      for k in (-2, 0, 1)],
+    *[(field, split, 1, "x_state") for field in "RC" for split in ((2, 2), (2, 3), (3, 3))],
+]
+
+
+@pytest.mark.parametrize("field,split,k,family", KERNEL_SPECS)
+def test_experiment_chunk_equals_sample_then_classify(field, split, k, family):
+    spec = SamplerSpec(field=field, n=split[0] * split[1], split=split, k=k,
+                       family=family, seed=606)
+    count = 2500  # two full blocks and a partial one
+    _rhos, out = _composed_verdicts(spec, 1, 2, count)
+    kernel = classify_blocks(_chunk_blocks(spec, 1, 2, count), count, *split)
+    for key, want in out.items():
+        assert np.array_equal(kernel[key], want), key
+    assert _experiment_chunk(spec, 1, 2, count) == {
+        "stream_id": 1, "chunk_index": 2, "samples": count,
+        "ppt_hits": int(np.count_nonzero(out["is_ppt"])),
+        "johnston_hits": int(np.count_nonzero(out["johnston"])),
+        "det_gt_hits_given_ppt": int(np.count_nonzero(out["det_gt"])),
+        "neg_eig_histogram": np.bincount(out["neg_pt_eigs"],
+                                         minlength=spec.n + 1).tolist()}
+
+
+@pytest.mark.parametrize("field,k", [("R", 0), ("C", 1), ("C", -2)])
+def test_chifit_chunk_equals_sample_then_classify(field, k):
+    spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=607)
+    count, bins = 2500, 12
+    rhos, out = _composed_verdicts(spec, 0, 1, count)
+    eps = epsilon_ratio_batch_2x2(rhos)
+    good = np.isfinite(eps)
+    idx = np.minimum((eps[good] * bins).astype(int), bins - 1)
+    assert _chifit_chunk(spec, 0, 1, count, bins) == {
+        "stream_id": 0, "chunk_index": 1,
+        "totals": np.bincount(idx, minlength=bins).tolist(),
+        "hits": np.bincount(idx[out["is_ppt"][good]], minlength=bins).tolist(),
+        "discarded": int(np.count_nonzero(~good))}
+
+
+def test_chunk_memory_stays_within_a_block_budget():
+    # one full C 3x3 chunk in a fresh process: its resident set may not grow
+    # by the 85 MB a (65,536, 9, 9) complex stack takes (ru_maxrss, not
+    # tracemalloc, which counts an np.empty buffer as touched in full)
+    code = textwrap.dedent("""
+        import resource
+        from sepprob.harness import CHUNK_SAMPLES, _experiment_chunk
+        from sepprob.sampling import SamplerSpec
+        spec = SamplerSpec(field="C", n=9, split=(3, 3), k=0, seed=5)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        row = _experiment_chunk(spec, 0, 0, CHUNK_SAMPLES)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(row["samples"], (after - before) / 1024)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    samples, rise_mb = res.stdout.split()
+    assert int(samples) == CHUNK_SAMPLES
+    assert float(rise_mb) < 40.0, rise_mb
 
 
 def test_experiment_refuses_an_empty_budget_or_bad_streams():
@@ -391,6 +471,26 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
     for grid in ("0.1:1.0:0", "0.1:1.0:-0.1", "1.0:0.1:0.1"):
         with pytest.raises(SystemExit):
             main(["quadrature", "--d", "2", "--eps-grid", grid])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--system", "2x5", "--field", "R", "--family", "xstate",
+      "--samples", "10"], "X-state family covers n in {4, 6, 9}"),
+    (["estimate", "--system", "2x2", "--field", "C", "--samples", "0"],
+     "need at least 1 sample"),
+    (["estimate", "--system", "2x2", "--field", "C", "--samples", "10", "--seed", "-1"],
+     "seed -1 must satisfy 0 <= seed < 2**64"),
+    (["chi-fit", "--field", "C", "--bins", "5", "--samples", "100"],
+     "need at least 10 bins"),
+])
+def test_cli_refusals_are_usage_errors(argv, message, capsys):
+    from sepprob.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"sepprob: error: {message}"
+    assert "Traceback" not in err
 
 
 def test_cli_quadrature_csv(capsys):

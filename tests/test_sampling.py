@@ -7,13 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from sepprob.linalg import DensityMatrix
-from sepprob.sampling import (
-    RandomStream,
-    SamplerSpec,
-    sample_batch,
-    sample_induced_batch,
-    sample_x_state_batch,
-)
+from sepprob.sampling import RandomStream, SamplerSpec, sample_batch
 
 # frozen from the independent partial-trace oracle (400k pure states on
 # C^4 (x) C^4, reduced by explicit environment trace); the induced sampler
@@ -103,7 +97,7 @@ def test_spec_validation():
 def test_induced_sample_is_valid_state():
     for field, k in (("C", 0), ("R", 1)):
         spec = SamplerSpec(field=field, n=6, split=(2, 3), k=k, seed=1)
-        batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+        batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
         rho = DensityMatrix(spec.field, spec.n, spec.split, batch[0])
         rho.validate()
     assert np.max(np.abs(rho.entries.imag)) == 0
@@ -111,10 +105,10 @@ def test_induced_sample_is_valid_state():
 
 def test_induced_determinism():
     spec = SamplerSpec(field="C", n=4, split=(2, 2), k=0, seed=123, stream_id=5)
-    a = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
-    b = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+    a = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+    b = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
     assert np.array_equal(a, b)
-    c = sample_induced_batch(spec, RandomStream(123, 6, 0), 1)
+    c = sample_batch(spec, RandomStream(123, 6, 0), 1)
     assert not np.array_equal(a, c)
 
 
@@ -131,12 +125,12 @@ def test_induced_rank_deficit_for_negative_k():
     # rank is bounded by the Wishart column count: n + k over C,
     # n + 1 + 2k over R (the det^k-weight convention)
     spec = SamplerSpec(field="R", n=6, split=(2, 3), k=-2, seed=9)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 64)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 64)
     ev = np.linalg.eigvalsh(batch)
     assert np.max(np.abs(ev[:, :3])) < 1e-12  # cols = 3: rank <= 3
     assert np.min(ev[:, 3]) > 1e-12
     spec1 = SamplerSpec(field="C", n=6, split=(2, 3), k=-1, seed=9)
-    batch1 = sample_induced_batch(spec1, RandomStream(spec1.seed, spec1.stream_id), 64)
+    batch1 = sample_batch(spec1, RandomStream(spec1.seed, spec1.stream_id), 64)
     ev1 = np.linalg.eigvalsh(batch1)
     assert np.max(np.abs(ev1[:, 0])) < 1e-12  # cols = 5: rank <= 5
     assert np.min(ev1[:, 1]) > 1e-12
@@ -144,7 +138,7 @@ def test_induced_rank_deficit_for_negative_k():
 
 def test_induced_batch_invariants_bulk():
     spec = SamplerSpec(field="C", n=6, split=(2, 3), k=0, seed=21)
-    batch = sample_induced_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 100_000)
     tr = np.trace(batch, axis1=1, axis2=2)
     assert np.max(np.abs(tr - 1)) < 1e-12
     assert np.max(np.abs(batch - batch.conj().swapaxes(1, 2))) < 1e-14
@@ -157,7 +151,7 @@ def test_induced_mean_eigenvalues_match_oracle():
     acc = np.zeros(4)
     total = 200_000
     for c in range(4):
-        batch = sample_induced_batch(spec, RandomStream(31, 0, c), total // 4)
+        batch = sample_batch(spec, RandomStream(31, 0, c), total // 4)
         acc += np.linalg.eigvalsh(batch)[:, ::-1].sum(axis=0)
     mean = acc / total
     assert np.max(np.abs(mean - np.array(HS4_MEAN_EIGS))) < 4e-3
@@ -188,7 +182,7 @@ def test_induced_bartlett_matches_ginibre_oracle(field, split, k):
     n = split[0] * split[1]
     spec = SamplerSpec(field=field, n=n, split=split, k=k, seed=88)
     rank = min(n, n + k if field == "C" else n + 1 + 2 * k)
-    a = _induced_statistics(sample_induced_batch(spec, RandomStream(88, 0, 0), 20_000), rank)
+    a = _induced_statistics(sample_batch(spec, RandomStream(88, 0, 0), 20_000), rank)
     b = _induced_statistics(sample_induced_batch_ginibre(spec, RandomStream(88, 1, 0), 20_000),
                             rank)
     assert len(a) == INDUCED_STATISTICS
@@ -201,7 +195,7 @@ def test_x_state_structure():
     for field, n, split in (("C", 4, (2, 2)), ("R", 6, (2, 3)), ("R", 9, (3, 3))):
         spec = SamplerSpec(field=field, n=n, split=split, k=0,
                            family="x_state", seed=2)
-        batch = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 500)
+        batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 500)
         mask = np.ones((n, n), dtype=bool)
         idx = np.arange(n)
         mask[idx, idx] = False
@@ -210,7 +204,7 @@ def test_x_state_structure():
         assert np.allclose(np.trace(batch, axis1=1, axis2=2).real, 1.0)
         ev = np.linalg.eigvalsh(batch)
         assert np.min(ev) > -1e-13
-        one = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
+        one = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
         DensityMatrix(spec.field, spec.n, spec.split, one[0]).validate()
 
 
@@ -236,7 +230,7 @@ def test_x_state_direct_matches_rejection_oracle():
     for field, n, k, count in X_ORACLE_CASES:
         split = {4: (2, 2), 6: (2, 3), 9: (3, 3)}[n]
         spec = SamplerSpec(field=field, n=n, split=split, k=k, family="x_state", seed=77)
-        a = _x_state_statistics(sample_x_state_batch(spec, RandomStream(77, 0, k), 100_000))
+        a = _x_state_statistics(sample_batch(spec, RandomStream(77, 0, k), 100_000))
         b = _x_state_statistics(sample_x_state_batch_rejection(spec, RandomStream(77, 1, k),
                                                                count))
         for name in a:
@@ -247,8 +241,8 @@ def test_x_state_direct_matches_rejection_oracle():
 def test_x_state_induced_k_thinning_lowers_spread():
     spec0 = SamplerSpec(field="R", n=4, split=(2, 2), k=0, family="x_state", seed=5)
     spec2 = SamplerSpec(field="R", n=4, split=(2, 2), k=2, family="x_state", seed=5)
-    a = sample_x_state_batch(spec0, RandomStream(spec0.seed, spec0.stream_id), 20_000)
-    b = sample_x_state_batch(spec2, RandomStream(spec2.seed, spec2.stream_id), 20_000)
+    a = sample_batch(spec0, RandomStream(spec0.seed, spec0.stream_id), 20_000)
+    b = sample_batch(spec2, RandomStream(spec2.seed, spec2.stream_id), 20_000)
     # det^k weighting concentrates toward the maximally mixed state
     spread0 = np.var(a[:, 0, 0].real)
     spread2 = np.var(b[:, 0, 0].real)
@@ -264,7 +258,7 @@ def test_stream_independence_pooled_variance():
     per = 8192
     hits = []
     for sid in range(32):
-        batch = sample_induced_batch(spec, RandomStream(404, sid, 0), per)
+        batch = sample_batch(spec, RandomStream(404, sid, 0), per)
         hits.append(int(np.count_nonzero(classify_batch(batch, 2, 2)["is_ppt"])))
     hits = np.array(hits, dtype=float)
     p = hits.sum() / (32 * per)
@@ -286,7 +280,7 @@ def test_sample_batch_dispatch():
 def test_x_state_high_order_needs_no_rejection():
     # R 3x3 at k = 3 once hit the thinning sampler's cap of proposal rounds
     spec = SamplerSpec(field="R", n=9, split=(3, 3), k=3, family="x_state", seed=1)
-    batch = sample_x_state_batch(spec, RandomStream(spec.seed, spec.stream_id), 10_000)
+    batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 10_000)
     assert batch.shape == (10_000, 9, 9)
     mask = np.ones((9, 9), dtype=bool)
     idx = np.arange(9)
