@@ -58,4 +58,4 @@ for d, k, e in [(2, 1, 0.5), (2, 2, 0.5), (4, 1, 0.7)]:
 
 print("\n=== X-state reduction ===")
 for d in (1, 2, 4):
-    print(f"chi_x(d={d}, 0.5) = {qd.chi_xstate(d, 0.5)}")
+    print(f"chi_x(d={d}, 0.5) = {chi_catalog(d, 0, 0.5, family='xstate')}")

@@ -54,11 +54,9 @@ reference call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DensityMatrix, Spectrum, partial_transpose_batch
+from .linalg import partial_transpose_batch
 from .sampling import GRAM_BLOCK
 
 PSD_TOL = 1e-13  # scaled by the (unit) trace
@@ -67,39 +65,13 @@ CERT_FLOOR = 1e-9  # least certified |eigenvalue| per unit of LDL^H growth
 DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
 
 
-@dataclass(frozen=True)
-class SampleVerdict:
-    """Outcome of all per-sample tests; det_pt_gt_det and johnston_separable
-    are PPT-conditioned (False unless PPT)."""
-
-    is_ppt: bool
-    neg_pt_eigs: int
-    det_pt_gt_det: bool
-    johnston_separable: bool
-
-    def __post_init__(self):
-        if self.is_ppt != (self.neg_pt_eigs == 0):
-            raise ValueError("is_ppt must mirror neg_pt_eigs == 0")
-        if (self.johnston_separable or self.det_pt_gt_det) and not self.is_ppt:
-            raise ValueError("johnston_separable and det_pt_gt_det imply is_ppt")
-
-
-def johnston_from_spectrum(s, m: int) -> bool:
-    """Separability-from-spectrum test for a 2 x m state.
-
-    True iff lambda_1 < lambda_(2m-1) + 2 sqrt(lambda_(2m-2) lambda_(2m))
-    holds strictly for the descending eigenvalues of the state itself.
-    """
-    vals = list(s.values if isinstance(s, Spectrum) else s)
-    if len(vals) != 2 * m:
-        raise ValueError(f"expected 2m = {2*m} eigenvalues, got {len(vals)}")
-    lam = np.asarray(vals, dtype=float)
-    prod = max(lam[2 * m - 3], 0.0) * max(lam[2 * m - 1], 0.0)
-    return bool(lam[0] < lam[2 * m - 2] + 2.0 * np.sqrt(prod))
-
-
 def _johnston_rows(rho_eigs: np.ndarray, n: int) -> np.ndarray:
-    """Batched :func:`johnston_from_spectrum` on ascending LAPACK spectra."""
+    """Johnston's separability-from-spectrum test for 2 x m states, n = 2m,
+    on rows of ascending LAPACK spectra of the states themselves.
+
+    True iff lambda_1 < lambda_(n-1) + 2 sqrt(lambda_(n-2) lambda_n) holds
+    strictly for the descending eigenvalues.
+    """
     lam = rho_eigs[:, ::-1]  # descending
     prod = np.clip(lam[:, n - 3], 0.0, None) * np.clip(lam[:, n - 1], 0.0, None)
     return lam[:, 0] < lam[:, n - 2] + 2.0 * np.sqrt(prod)
@@ -233,32 +205,3 @@ def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
     blocks = ((lo, rhos[lo:lo + GRAM_BLOCK].transpose(1, 2, 0))
               for lo in range(0, rhos.shape[0], GRAM_BLOCK))
     return classify_blocks(blocks, rhos.shape[0], dA, dB)
-
-
-def classify(rho: DensityMatrix) -> SampleVerdict:
-    """Verdict for a single state (PT taken over subsystem B; side A gives
-    the same spectrum)."""
-    if rho.split is None:
-        raise ValueError("classification requires a declared bipartition")
-    dA, dB = rho.split
-    out = classify_batch(rho.entries[None], dA, dB)
-    return SampleVerdict(
-        is_ppt=bool(out["is_ppt"][0]),
-        neg_pt_eigs=int(out["neg_pt_eigs"][0]),
-        det_pt_gt_det=bool(out["det_gt"][0]),
-        johnston_separable=bool(out["johnston"][0]),
-    )
-
-
-def det_inequality(rho: DensityMatrix) -> bool:
-    """True iff det(rho^PT) > det(rho) strictly (PT side is irrelevant).
-
-    Unlike the PPT-conditioned ``det_gt`` of :func:`classify_batch`, this
-    holds for any state; it compares the eigvalsh determinants of the
-    reference path.
-    """
-    if rho.split is None:
-        raise ValueError("requires a declared bipartition")
-    dA, dB = rho.split
-    pt = partial_transpose_batch(rho.entries[None], dA, dB, side="B")
-    return bool(np.prod(np.linalg.eigvalsh(pt)) > np.prod(np.linalg.eigvalsh(rho.entries)))

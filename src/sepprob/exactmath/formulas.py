@@ -234,10 +234,13 @@ def chi_catalog(d: int, k, eps, family: str = "full"):
     (``family="xstate"``).  Anything else raises :class:`CatalogMiss` to
     signal that the numeric constrained integration must be used.
 
-    Accepts scalar or ndarray eps; returns the same shape.
+    Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
+    outside [0, 1] with ValueError.
     """
     eps_arr = np.asarray(eps, dtype=float)
     scalar = np.isscalar(eps) or eps_arr.ndim == 0
+    if np.any((eps_arr < 0) | (eps_arr > 1)):
+        raise ValueError("eps must lie in [0, 1]")
     if family == "xstate":
         out = eps_arr ** d
         return float(out) if scalar else out
@@ -262,12 +265,23 @@ def chi_catalog(d: int, k, eps, family: str = "full"):
     raise CatalogMiss(f"no catalog entry for d={d}")
 
 
-def master_chi_coefficients(d: int) -> list[Fraction]:
-    """Exact coefficients c_n of chi_{d,0}(eps) = eps^d sum c_n eps^(2n), even d."""
+def master_chi_coefficients(d: int, k: int = 0) -> list[Fraction]:
+    """Exact coefficients c_n of the terminating series eps^d sum c_n eps^(2n),
+    even d and integer k >= 0:
+
+        d! (d+k)!^2 / ((d/2)! (d/2+k)!)
+            * 3F2_reg(-d/2-k, d/2, d; d/2+1, 3d/2+k+1; eps^2).
+
+    At k = 0 this is the master formula chi_{d,0}; at every k, half of it is
+    the closed term of the extended master decomposition
+    (``quadrature.extended_master_parts``).
+    """
     if d < 2 or d % 2:
         raise ValueError("terminating master series requires even d >= 2")
-    f = hyper.hyp3f2_reg_poly((-d // 2, d // 2, d), (d // 2 + 1, 3 * d // 2 + 1))
-    scale = Fraction(math.factorial(d) ** 3, math.factorial(d // 2) ** 2)
+    h = d // 2
+    f = hyper.hyp3f2_reg_poly((-h - k, h, d), (h + 1, 3 * h + k + 1))
+    scale = Fraction(math.factorial(d) * math.factorial(d + k) ** 2,
+                     math.factorial(h) * math.factorial(h + k))
     return [scale * c for c in f]
 
 

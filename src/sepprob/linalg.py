@@ -1,114 +1,14 @@
-"""Dense Hermitian linear algebra for small bipartite density matrices.
+"""Dense Hermitian linear algebra for stacks of small bipartite density matrices.
 
-Everything here is sized for n <= 64 (in practice 4-10): eigenvalues and
-determinants via LAPACK, the partial transpose as an index swap, and the
-singular-value ratio of the block quotient D2^(1/2) D1^(-1/2) that drives
-the chi-function analyses.  Batched variants operating on stacks of
-matrices back the Monte Carlo hot path; the single-matrix API wraps them
-with validation.
+Everything here is sized for n <= 64 (in practice 4-10): the partial
+transpose as an index swap, and the singular-value ratio of the block
+quotient D2^(1/2) D1^(-1/2) that drives the chi-function analyses.  Both
+operate on stacks of matrices, as the Monte Carlo paths use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
-
-HERMITICITY_TOL = 1e-8
-TRACE_TOL = 1e-12
-PSD_SAMPLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian unit-trace state over R or C with a declared bipartition.
-
-    ``split`` is (dA, dB) with dA * dB = n, or None for spectra-only use.
-    Real-symmetric matrices are stored with zero imaginary parts.
-    """
-
-    field: str
-    n: int
-    split: tuple[int, int] | None
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}")
-        m = 0.5 * (m + m.conj().T)  # enforce exact Hermiticity
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        if self.split is not None and self.split[0] * self.split[1] != self.n:
-            raise ValueError("split dimensions must multiply to n")
-        if self.field not in ("R", "C"):
-            raise ValueError("field must be 'R' or 'C'")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def validate(self) -> None:
-        """Check the defining invariants (trace 1, PSD up to tolerance)."""
-        if abs(self.trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {self.trace} deviates from 1")
-        if self.field == "R" and np.max(np.abs(self.entries.imag)) > 0:
-            raise ValueError("real-field state has nonzero imaginary entries")
-        ev = np.linalg.eigvalsh(self.entries)
-        if ev[0] < -PSD_SAMPLE_TOL:
-            raise ValueError(f"minimum eigenvalue {ev[0]} below -{PSD_SAMPLE_TOL}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending eigenvalue list of a Hermitian matrix."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("spectrum must be sorted descending")
-        object.__setattr__(self, "values", vals)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, DensityMatrix):
-        return m.entries
-    return np.asarray(m, dtype=complex)
-
-
-def _check_hermitian(m: np.ndarray) -> None:
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
-
-
-def eigenvalues(m) -> Spectrum:
-    """All-real spectrum of a Hermitian matrix, sorted descending."""
-    a = _as_matrix(m)
-    if a.shape[0] > 64:
-        raise ValueError("sized for n <= 64")
-    _check_hermitian(a)
-    ev = np.linalg.eigvalsh(a)
-    return Spectrum(tuple(ev[::-1]))
-
-
-def determinant(m) -> float:
-    """Determinant as the product of eigenvalues (sign-preserving)."""
-    a = _as_matrix(m)
-    _check_hermitian(a)
-    return float(np.prod(np.linalg.eigvalsh(a)))
 
 
 def partial_transpose_batch(rhos: np.ndarray, dA: int, dB: int,
@@ -126,60 +26,15 @@ def partial_transpose_batch(rhos: np.ndarray, dA: int, dB: int,
     return np.ascontiguousarray(r.reshape(shape[:-2] + (n, n)))
 
 
-def partial_transpose(rho, side: str = "B", split: tuple[int, int] | None = None):
-    """Partial transpose of a single state over subsystem A or B.
-
-    Hermiticity, the trace, and the Frobenius norm are all preserved, and
-    the operation is an involution.  Accepts a DensityMatrix (using its
-    declared split) or a raw array plus an explicit split.
-    """
-    if isinstance(rho, DensityMatrix):
-        if rho.split is None:
-            raise ValueError("state has no declared bipartition")
-        split = rho.split
-        m = rho.entries
-    else:
-        if split is None:
-            raise ValueError("raw-array input requires an explicit split")
-        m = np.asarray(rho, dtype=complex)
-    dA, dB = split
-    return partial_transpose_batch(m[None], dA, dB, side)[0]
-
-
-def epsilon_ratio(rho) -> float:
-    """Singular-value ratio eps = sigma_min/sigma_max of D2^(1/2) D1^(-1/2).
-
-    D1 and D2 are the upper-left and lower-right m x m diagonal blocks of a
-    2 x m state.  The squared singular values are the eigenvalues of the
-    pencil (D2, D1), so eps = sqrt(lambda_min / lambda_max).  Raises when
-    either block is singular (measure-zero event; callers discard).
-    """
-    if isinstance(rho, DensityMatrix):
-        if rho.split is None or rho.split[0] != 2:
-            raise ValueError("epsilon ratio requires a declared 2 x m split")
-        m = rho.split[1]
-        a = rho.entries
-    else:
-        a = np.asarray(rho, dtype=complex)
-        if a.shape[0] % 2:
-            raise ValueError("even dimension required for a 2 x m split")
-        m = a.shape[0] // 2
-    d1 = a[:m, :m]
-    d2 = a[m:, m:]
-    try:
-        lam = scipy.linalg.eigh(d2, d1, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ValueError("singular diagonal block") from exc
-    if lam[0] <= 0 or not np.all(np.isfinite(lam)):
-        raise ValueError("diagonal blocks must be positive definite")
-    return float(np.sqrt(lam[0] / lam[-1]))
-
-
 def epsilon_ratio_batch_2x2(rhos: np.ndarray) -> np.ndarray:
-    """Vectorized epsilon for stacks of 4 x 4 states split (2, 2).
+    """Singular-value ratio eps = sigma_min/sigma_max of D2^(1/2) D1^(-1/2)
+    for stacks of 4 x 4 states split (2, 2).
 
-    Solves det(D2 - lam D1) = 0 per sample in closed form.  Samples with a
-    non-positive-definite block come back as NaN.
+    D1 and D2 are the upper-left and lower-right 2 x 2 diagonal blocks.  The
+    squared singular values are the roots lam of det(D2 - lam D1) = 0, so
+    eps = sqrt(lam_min / lam_max), solved per sample in closed form.  Samples
+    with a non-positive-definite block (a measure-zero event) come back as
+    NaN.
     """
     d1 = rhos[:, :2, :2]
     d2 = rhos[:, 2:, 2:]

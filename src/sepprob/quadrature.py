@@ -1,6 +1,6 @@
 """Deterministic integration for the chi-function framework.
 
-Four integration problems live here:
+Three integration problems live here:
 
 * the (d, k)-parameterized double-integral separability probability over
   the ordered square -1 <= y <= x <= 1 with weight
@@ -9,7 +9,6 @@ Four integration problems live here:
   to two smooth 2D pieces by integrating the innermost variable in closed
   (incomplete-beta) form, plus a quasi-random 3D oracle of the raw
   constrained integral;
-* the X-state reduction eps^d;
 * the extended master decomposition: a terminating regularized 3F2 term
   plus a 2D integral, summing to chi_{d,k}(eps) for even d.
 
@@ -22,7 +21,7 @@ substitution of the inner variable near the diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -33,6 +32,7 @@ from scipy.stats import qmc
 
 from . import hyper
 from .exactmath import chi_catalog, master_chi
+from .exactmath.formulas import master_chi_coefficients
 
 # Orientation resolved for the 2D part of the extended master decomposition:
 # the inner variable is the product of the two radial coordinates, running
@@ -43,12 +43,14 @@ EXTENDED_MASTER_DOMAIN = "Y in [eps*r14^2, eps*r14], r14 in [0, 1]"
 
 @dataclass
 class ChiFunction:
-    """A separability function eps -> chi(eps) on [0, 1] with provenance."""
+    """A separability function eps -> chi(eps) on [0, 1].
+
+    ``singular_at_one`` marks a chi that blows up (integrably) at eps = 1,
+    for which the ratio integrals flatten the diagonal.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    provenance: str  # catalog | master
-    label: str = ""
-    meta: dict = field(default_factory=dict)
+    singular_at_one: bool = False
 
     def __call__(self, eps):
         return self.fn(eps)
@@ -57,26 +59,14 @@ class ChiFunction:
 def chi_from_catalog(d: int, k, family: str = "full") -> ChiFunction:
     """Wrap a closed-form catalog entry (raises CatalogMiss if absent)."""
     chi_catalog(d, k, 0.5, family=family)  # probe coverage early
-    meta = {}
-    if family == "full" and d == 2 and float(k) < -1.0:
-        meta["singular_at_one"] = True  # (1-eps^2)^(k+1) blows up at eps = 1
-    return ChiFunction(lambda e: chi_catalog(d, k, e, family=family),
-                       "catalog", f"chi[{d},{k}]" + ("" if family == "full" else ":x"),
-                       meta)
+    # (1-eps^2)^(k+1) blows up at eps = 1
+    singular = family == "full" and d == 2 and float(k) < -1.0
+    return ChiFunction(lambda e: chi_catalog(d, k, e, family=family), singular)
 
 
 def chi_from_master(d: int) -> ChiFunction:
     """Wrap the (k = 0) master formula, including the numeric odd-d path."""
-    return ChiFunction(lambda e: master_chi(d, e), "master", f"master[{d}]")
-
-
-def chi_xstate(d: int, eps):
-    """X-state separability function: exactly eps**d."""
-    eps_arr = np.asarray(eps, dtype=float)
-    if np.any((eps_arr < 0) | (eps_arr > 1)):
-        raise ValueError("eps must lie in [0, 1]")
-    out = eps_arr ** d
-    return float(out) if np.isscalar(eps) or eps_arr.ndim == 0 else out
+    return ChiFunction(lambda e: master_chi(d, e))
 
 
 @lru_cache(maxsize=128)
@@ -135,10 +125,8 @@ def _triangle_nodes(exponent: float, d_power: int, n_outer: int, n_inner: int,
 
 
 def _triangle_ratio(exponent: float, d_power: int, chi,
-                    n_outer: int, n_inner: int,
-                    diagonal_sub: bool | None) -> float:
-    if diagonal_sub is None:
-        diagonal_sub = bool(getattr(chi, "meta", {}).get("singular_at_one", False))
+                    n_outer: int, n_inner: int) -> float:
+    diagonal_sub = getattr(chi, "singular_at_one", False)
     eps, w = _triangle_nodes(exponent, d_power, n_outer, n_inner, diagonal_sub)
     vals = np.asarray(chi(eps), dtype=float)
     num = float(np.dot(w, vals))
@@ -147,27 +135,24 @@ def _triangle_ratio(exponent: float, d_power: int, chi,
 
 
 def sep_prob_general(d: int, k, chi, n_outer: int = 200,
-                     n_inner: int = 120,
-                     diagonal_substitution: bool | None = None) -> float:
+                     n_inner: int = 120) -> float:
     """Separability probability for division-ring dimension d and order k.
 
     Evaluates the ratio of the two ordered-square double integrals with
     weight exponent d + k and diagonal power d, the chi function applied
     to the singular-value ratio sqrt((1-x)(1+y)/((1+x)(1-y))).  The
-    diagonal substitution (needed when chi blows up at eps = 1) is picked
-    up from the ChiFunction metadata unless forced here.
+    diagonal substitution (needed when chi blows up at eps = 1) follows
+    the ChiFunction's ``singular_at_one`` flag.
     """
     if d not in (1, 2, 4):
         raise ValueError("d must be 1, 2 or 4")
     exponent = float(d + k)
     if exponent <= -1.0:
         raise ValueError("requires d + k > -1 for integrability")
-    return _triangle_ratio(exponent, d, chi, n_outer, n_inner,
-                           diagonal_substitution)
+    return _triangle_ratio(exponent, d, chi, n_outer, n_inner)
 
 
-def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120,
-          diagonal_substitution: bool | None = None) -> float:
+def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120) -> float:
     """The interpolated two-qubit probability at weight exponent eta.
 
     eta = 2 is the Hilbert-Schmidt case and eta = -1/2 the sqrt(x) operator
@@ -178,8 +163,7 @@ def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120,
         return 0.0
     if eta < -1:
         raise ValueError("requires eta >= -1")
-    return _triangle_ratio(float(eta), 2, chi, n_outer, n_inner,
-                           diagonal_substitution)
+    return _triangle_ratio(float(eta), 2, chi, n_outer, n_inner)
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +241,13 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
 # extended master decomposition (even d)
 # ---------------------------------------------------------------------------
 
-def _extended_t1_coeffs(d: int, k: int) -> list[Fraction]:
-    f = hyper.hyp3f2_reg_poly((d // 2, d, -(d // 2) - k),
-                              (d // 2 + 1, 3 * d // 2 + k + 1))
-    scale = (Fraction(math.factorial(d)) * math.factorial(d + k) ** 2
-             / (d * math.factorial(d // 2 - 1) * math.factorial(d // 2 + k)))
-    return [scale * c for c in f]
-
-
 def extended_master_parts(d: int, k: int, eps: float,
                           nodes: int = 80) -> tuple[float, float]:
     """The two summands of the extended master expression for chi_{d,k}.
 
-    The first is the closed terminating-3F2 term; the second is the 2D
-    integral over EXTENDED_MASTER_DOMAIN of the hypergeometric-weighted
+    The first is the closed terminating-3F2 term, half the master series
+    taken to order k (``master_chi_coefficients(d, k)``); the second is the
+    2D integral over EXTENDED_MASTER_DOMAIN of the hypergeometric-weighted
     product (evaluated with A^k 2F1(d/2,-k;d/2+1;B/A) expanded into the
     finite polynomial sum_j c_j A^(k-j) B^j, which removes all divisions).
     For k = 0 each part equals half of the d-th master formula.
@@ -284,8 +261,8 @@ def extended_master_parts(d: int, k: int, eps: float,
     k = int(k)
     e2 = eps * eps
     t1 = 0.0
-    for c in reversed(_extended_t1_coeffs(d, k)):
-        t1 = t1 * e2 + float(c)
+    for c in reversed(master_chi_coefficients(d, k)):
+        t1 = t1 * e2 + float(c / 2)
     t1 *= eps ** d
 
     t, wt = _gl01(nodes)
@@ -301,9 +278,7 @@ def extended_master_parts(d: int, k: int, eps: float,
     for j, cj in enumerate(c2f1):
         poly += float(cj) * a ** (k - j) * b ** j
     integrand = r ** (d - 1) * sigma ** (d - 1) * b ** (d // 2) * poly * (1.0 - r)
-    c2 = (8.0 * math.gamma(d + k + 1) ** 2
-          / (d * math.gamma(d / 2) ** 3 * math.gamma(k + 1)
-             * math.gamma(d / 2 + k + 1)))
+    c2 = 1.0 / (d * _chi_norm(d, k))
     t2 = c2 * eps ** d * float(np.sum(wr * wv * integrand))
     return t1, t2
 

@@ -73,6 +73,11 @@ class SamplerSpec:
             raise ValueError("field must be 'R' or 'C'")
         if self.split[0] * self.split[1] != self.n:
             raise ValueError("split must multiply to n")
+        # the RandomStream key ranges, refused before any run opens its files
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} must satisfy 0 <= seed < 2**64")
+        if not 0 <= self.stream_id < 2**32:
+            raise ValueError(f"stream_id {self.stream_id} must fit in 32 bits")
         if self.family == "full":
             if wishart_columns(self.field, self.n, self.k) < 1:
                 raise ValueError("induced construction needs >= 1 Wishart column")

@@ -482,6 +482,10 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "seed -1 must satisfy 0 <= seed < 2**64"),
     (["chi-fit", "--field", "C", "--bins", "5", "--samples", "100"],
      "need at least 10 bins"),
+    (["exact", "--formula", "chi", "--d", "2", "--k", "1", "--epsilon", "1.5"],
+     "eps must lie in [0, 1]"),
+    (["exact", "--formula", "chi", "--d", "2", "--k", "1", "--epsilon", "-0.5"],
+     "eps must lie in [0, 1]"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main
@@ -491,6 +495,16 @@ def test_cli_refusals_are_usage_errors(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"sepprob: error: {message}"
     assert "Traceback" not in err
+
+
+def test_cli_refused_seed_leaves_no_checkpoint(tmp_path, capsys):
+    from sepprob.cli import main
+    ckpt = tmp_path / "f.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--system", "2x2", "--field", "C", "--samples", "10",
+              "--seed", "-1", "--checkpoint", str(ckpt)])
+    assert exc.value.code == 2
+    assert not ckpt.exists()
 
 
 def test_cli_quadrature_csv(capsys):

@@ -119,11 +119,13 @@ def test_chi_numeric_qmc_oracle_agrees():
 
 
 def test_chi_xstate():
-    assert qd.chi_xstate(1, 0.5) == 0.5
-    assert qd.chi_xstate(2, 1.0) == 1.0
-    assert qd.chi_xstate(4, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        qd.chi_xstate(2, 1.5)
+    assert chi_catalog(1, 0, 0.5, family="xstate") == 0.5
+    assert chi_catalog(2, 0, 1.0, family="xstate") == 1.0
+    assert chi_catalog(4, 0, 0.0, family="xstate") == 0.0
+    for family in ("xstate", "full"):
+        for eps in (1.5, -0.5, np.array([0.5, 1.0 + 1e-12])):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                chi_catalog(2, 1, eps, family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from sepprob.linalg import DensityMatrix
 from sepprob.sampling import RandomStream, SamplerSpec, sample_batch
 
 # frozen from the independent partial-trace oracle (400k pure states on
@@ -92,15 +91,27 @@ def test_spec_validation():
         SamplerSpec(field="C", n=5, split=(1, 5), family="x_state")
     with pytest.raises(ValueError):
         SamplerSpec(field="Q", n=4, split=(2, 2))
+    # the Philox key ranges: seed in [0, 2^64), stream_id in [0, 2^32)
+    for key in ({"seed": -1}, {"seed": 2**64}, {"stream_id": -1}, {"stream_id": 2**32}):
+        with pytest.raises(ValueError):
+            SamplerSpec(field="C", n=4, split=(2, 2), **key)
+    SamplerSpec(field="C", n=4, split=(2, 2), seed=2**64 - 1, stream_id=2**32 - 1)
+
+
+def assert_valid_state(rho, field):
+    """Hermitian, unit trace, PSD up to rounding, and real over R."""
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-8
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    if field == "R":
+        assert np.all(np.imag(rho) == 0)
 
 
 def test_induced_sample_is_valid_state():
     for field, k in (("C", 0), ("R", 1)):
         spec = SamplerSpec(field=field, n=6, split=(2, 3), k=k, seed=1)
         batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
-        rho = DensityMatrix(spec.field, spec.n, spec.split, batch[0])
-        rho.validate()
-    assert np.max(np.abs(rho.entries.imag)) == 0
+        assert_valid_state(batch[0], spec.field)
 
 
 def test_induced_determinism():
@@ -205,7 +216,7 @@ def test_x_state_structure():
         ev = np.linalg.eigvalsh(batch)
         assert np.min(ev) > -1e-13
         one = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 1)
-        DensityMatrix(spec.field, spec.n, spec.split, one[0]).validate()
+        assert_valid_state(one[0], spec.field)
 
 
 # (field, n, k, oracle samples): the oracle's acceptance falls with n and k
