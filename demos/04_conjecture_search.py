@@ -9,7 +9,7 @@ candidates (short numerators, pure prime powers) come first.
 from sepprob.harness import conjecture_search, wald_ci
 
 print("=== qubit-qutrit: the interval that pinned 27/1000 ===")
-lo, hi = wald_ci(2_900_000_000, 78_293_301, 0.95)
+lo, hi = wald_ci(2_900_000_000, 78_293_301)
 print(f"estimate 0.026997690, 95% CI [{lo:.7f}, {hi:.7f}]")
 cands = conjecture_search(f"{lo:.7f}", f"{hi:.7f}", [2, 3, 5], 10 ** 6, 40)
 print(f"{len(cands)} candidates with {{2,3,5}}-smooth denominators; top five:")
@@ -18,7 +18,7 @@ for c in cands[:5]:
           f"support={c.prime_support} score={c.score}")
 
 print("\n=== rebit-retrit: 860/6561 inside the reported interval ===")
-lo, hi = wald_ci(3_530_000_000, 462_704_503, 0.95)
+lo, hi = wald_ci(3_530_000_000, 462_704_503)
 print(f"95% CI [{lo:.6f}, {hi:.6f}]")
 cands = conjecture_search(f"{lo:.6f}", f"{hi:.6f}", [2, 3, 5], 10 ** 5, 12)
 for c in cands[:5]:

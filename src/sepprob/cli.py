@@ -52,7 +52,7 @@ def _emit(payload: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _factorization_json(value: PiRational) -> dict:
+def _factorization_json(value: PiRational | Fraction) -> dict:
     fact = factorize(value)
     return {
         "num": ("-" if fact.sign < 0 else "") + fact.numerator.format(),
@@ -68,10 +68,9 @@ def _cmd_exact(args) -> None:
         fn = {"p2qubits": p_2qubits, "p2rebits": p_2rebits,
               "p2quaterbits": p_2quaterbits}[formula]
         val = fn(k)
-        pr = PiRational(val)
         result["params"] = {"k": k}
-        result["exact"] = pr.format()
-        result["factorization"] = _factorization_json(pr)
+        result["exact"] = str(val)
+        result["factorization"] = _factorization_json(val)
     elif formula == "u":
         eta = float(Fraction(args.eta))
         val = u_closed(eta, dps=args.dps)
@@ -94,8 +93,7 @@ def _cmd_exact(args) -> None:
         else:
             rad = volume_hs(args.field, args.N)
             result["exact"] = rad.format()
-            result["factorization"] = _factorization_json(
-                PiRational(rad.coefficient))
+            result["factorization"] = _factorization_json(rad.coefficient)
             result["radicand"] = rad.radicand
             result["pi_twice"] = rad.pi_twice
         result["params"] = {"field": args.field, "N": args.N,
@@ -105,7 +103,7 @@ def _cmd_exact(args) -> None:
         result["params"] = {"m": args.m, "r": args.r}
         result["exact"] = v0.format()
         result["profile"] = profile
-        result["factorization"] = _factorization_json(PiRational(v0.coefficient))
+        result["factorization"] = _factorization_json(v0.coefficient)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown formula {formula}")
     _emit(json.dumps(result, indent=2), args.out)

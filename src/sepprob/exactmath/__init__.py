@@ -14,19 +14,13 @@ from .formulas import (
 )
 from .primes import factor_int, factorize, is_prime
 from .reported import ReportedVolume, reported_value_audit
-from .values import (
-    FactorizedPiRational,
-    PiRational,
-    PrimeFactorization,
-    RadicalPiRational,
-)
+from .values import FactorizedPiRational, PiRational, PrimeFactorization
 
 __all__ = [
     "CatalogMiss",
     "FactorizedPiRational",
     "PiRational",
     "PrimeFactorization",
-    "RadicalPiRational",
     "ReportedVolume",
     "chi_catalog",
     "factor_int",

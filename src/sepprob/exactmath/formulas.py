@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from .. import hyper
-from .values import PiRational, RadicalPiRational
+from .values import PiRational
 
 
 class CatalogMiss(LookupError):
@@ -63,7 +63,7 @@ def volume_lebesgue(field: str, n: int) -> PiRational:
         if n < 2:
             raise ValueError("complex case requires N >= 2")
         num = math.prod(math.factorial(i) for i in range(1, n))
-        return PiRational(Fraction(num, math.factorial(n * n - 1)), n * (n - 1) // 2)
+        return PiRational(Fraction(num, math.factorial(n * n - 1)), pi_twice=n * (n - 1))
     if f == "R":
         l = n
         if l < 1:
@@ -71,17 +71,17 @@ def volume_lebesgue(field: str, n: int) -> PiRational:
         coeff = (Fraction(math.factorial(2 * l), 2 ** (l * l + l))
                  / math.factorial(l) / math.factorial(2 * l * l + l - 1))
         coeff *= math.prod(math.factorial(2 * i) for i in range(1, l))
-        return PiRational(coeff, l * l)
+        return PiRational(coeff, pi_twice=2 * l * l)
     if f == "H":
         if n < 2:
             raise ValueError("quaternionic case requires N >= 2")
         coeff = Fraction(math.factorial(2 * n - 2), math.factorial(2 * n * n - n - 1))
         coeff *= math.prod(math.factorial(2 * i) for i in range(1, n - 1))
-        return PiRational(coeff, n * n - n)
+        return PiRational(coeff, pi_twice=2 * (n * n - n))
     raise ValueError(f"unsupported field tag {field!r}")
 
 
-def volume_hs(field: str, n: int) -> RadicalPiRational:
+def volume_hs(field: str, n: int) -> PiRational:
     """Hilbert-Schmidt volume of the N x N density matrices over R or C.
 
     The sqrt(N) normalization (and any half-integer powers of 2 and pi in
@@ -94,7 +94,7 @@ def volume_hs(field: str, n: int) -> RadicalPiRational:
         coeff = Fraction(2 ** (n * (n - 1) // 2))
         coeff *= math.prod(math.factorial(i - 1) for i in range(1, n + 1))
         coeff /= math.factorial(n * n - 1)
-        return RadicalPiRational(coeff, n * (n - 1), n)
+        return PiRational(coeff, pi_twice=n * (n - 1), radicand=n)
     if f == "R":
         # sqrt(N) 2^N (2pi)^(N(N-1)/4) Gamma((N+1)/2) prod Gamma(1+i/2)
         #   / (Gamma(N(N+1)/2) Gamma(1/2))
@@ -110,14 +110,11 @@ def volume_hs(field: str, n: int) -> RadicalPiRational:
             pi_twice += e
         coeff /= math.factorial(n * (n + 1) // 2 - 1)
         pi_twice -= 1                          # / Gamma(1/2)
-        half2, odd2 = divmod(two_twice, 2)
-        coeff *= 2 ** half2
-        radicand = n * (2 if odd2 else 1)
-        return RadicalPiRational(coeff, pi_twice, radicand)
+        return PiRational(coeff, pi_twice=pi_twice, radicand=n * 2 ** two_twice)
     raise ValueError(f"unsupported field tag {field!r} (HS volumes cover R and C)")
 
 
-def milz_strunz_volume(m: int, r: float) -> tuple[RadicalPiRational, float]:
+def milz_strunz_volume(m: int, r: float) -> tuple[PiRational, float]:
     """Conjectured HS volume of 2 x m states at fixed qubit Bloch radius r.
 
     Returns the exact r = 0 value (sqrt(m) carried symbolically) and the
@@ -135,13 +132,7 @@ def milz_strunz_volume(m: int, r: float) -> tuple[RadicalPiRational, float]:
     pi_twice += e
     coeff /= math.factorial(4 * m * m - 1)
     coeff /= math.factorial(2 * m * m - 2)
-    half2, odd2 = divmod(two_twice, 2)
-    if half2 >= 0:
-        coeff *= 2 ** half2
-    else:
-        coeff /= 2 ** (-half2)
-    radicand = m * (2 if odd2 else 1)
-    v0 = RadicalPiRational(coeff, pi_twice, radicand)
+    v0 = PiRational(coeff, pi_twice=pi_twice, radicand=m * 2 ** two_twice)
     profile = (1.0 - r * r) ** (2 * (m * m - 1))
     return v0, profile
 

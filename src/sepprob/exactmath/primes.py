@@ -117,12 +117,15 @@ def factorize(x: PiRational | Fraction | int) -> FactorizedPiRational:
     """Factor the rational coefficient of ``x`` into primes.
 
     Returns the sign, the factorizations of |p| and q, and the pi power.
-    Raises on a zero coefficient (sign would be meaningless).
+    Raises on a zero coefficient (sign would be meaningless), and on a
+    radical or a half-integer pi power, which a factored coefficient
+    would silently drop.
     """
-    if isinstance(x, int):
+    if not isinstance(x, PiRational):
         x = PiRational(Fraction(x))
-    elif isinstance(x, Fraction):
-        x = PiRational(x)
+    if x.radicand != 1 or x.pi_twice % 2:
+        raise ValueError(f"cannot factorize {x.format()}: it has a radical "
+                         "or a half-integer pi power")
     p, q = x.numerator, x.denominator
     if p == 0:
         raise ValueError("cannot factorize a zero coefficient")

@@ -1,10 +1,10 @@
 """Exact value types for closed-form volumes and probabilities.
 
 All closed-form results handled by this package are rational multiples of
-integer powers of pi, occasionally carrying a square-root radical (sqrt(N)
-normalization factors, or half-integer powers of 2 and pi).  Two small
-immutable types cover both cases and keep the arithmetic exact end to end,
-so that printed denominators and prime factorizations can be compared
+powers of pi, occasionally carrying a square-root radical (sqrt(N)
+normalization factors, or half-integer powers of 2 and pi).  One small
+immutable type covers every case and keeps the arithmetic exact end to
+end, so that printed denominators and prime factorizations can be compared
 digit for digit.
 """
 
@@ -19,8 +19,8 @@ import mpmath
 def square_free_split(n: int) -> tuple[int, int]:
     """Write ``n = s**2 * r`` with ``r`` square-free; return ``(s, r)``.
 
-    Only used on small radicands (products of matrix dimensions and 2),
-    so naive extraction is fine.
+    Radicands here are a matrix dimension times a power of 2, so naive
+    extraction is fine.
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
@@ -36,15 +36,29 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PiRational:
-    """Exact value ``(p/q) * pi**a`` with big-integer p, q.
+    """Exact value ``c * pi**(pi_twice/2) * sqrt(radicand)``.
 
-    Invariants: ``coefficient`` is a reduced Fraction with positive
-    denominator (guaranteed by :class:`fractions.Fraction`), and the value
-    is reconstructible to any requested precision via :meth:`value`.
+    ``coefficient`` is a reduced Fraction; ``pi_twice`` counts powers of
+    sqrt(pi), so rational multiples of integer powers of pi have an even
+    ``pi_twice`` and ``radicand == 1``.  The radicand is kept square-free:
+    any square factor moves into the coefficient on construction, so the
+    radical is carried symbolically, never rounded.  Both exponent fields
+    are keyword-only, so ``PiRational(c, a)`` cannot be misread as
+    ``pi**(a/2)``.
     """
 
     coefficient: Fraction
-    pi_power: int = 0
+    pi_twice: int = field(default=0, kw_only=True)
+    radicand: int = field(default=1, kw_only=True)
+
+    def __post_init__(self):
+        s, r = square_free_split(self.radicand)
+        if s != 1:
+            object.__setattr__(self, "coefficient", self.coefficient * s)
+            object.__setattr__(self, "radicand", r)
+        if self.coefficient == 0:
+            object.__setattr__(self, "pi_twice", 0)
+            object.__setattr__(self, "radicand", 1)
 
     @property
     def numerator(self) -> int:
@@ -54,77 +68,17 @@ class PiRational:
     def denominator(self) -> int:
         return self.coefficient.denominator
 
-    def value(self, dps: int = 50) -> mpmath.mpf:
-        """Numeric value at ``dps`` significant digits."""
-        with mpmath.workdps(dps + 10):
-            v = mpmath.mpf(self.numerator) / self.denominator * mpmath.pi ** self.pi_power
-            return +v
-
-    def __float__(self) -> float:
-        return float(self.value(30))
-
-    def __mul__(self, other):
-        if isinstance(other, PiRational):
-            return PiRational(self.coefficient * other.coefficient,
-                              self.pi_power + other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return PiRational(self.coefficient * other, self.pi_power)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiRational):
-            return PiRational(self.coefficient / other.coefficient,
-                              self.pi_power - other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return PiRational(self.coefficient / other, self.pi_power)
-        return NotImplemented
-
-    def format(self) -> str:
-        """Render as ``p/q*pi^a`` (omitting trivial parts)."""
-        c = self.coefficient
-        s = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        if self.pi_power == 0:
-            return s
-        pi = "pi" if self.pi_power == 1 else f"pi^{self.pi_power}"
-        return f"{s}*{pi}"
-
-
-@dataclass(frozen=True)
-class RadicalPiRational:
-    """Exact value ``c * pi**(pi_twice/2) * sqrt(radicand)``.
-
-    Extends :class:`PiRational` with a square-free integer radicand and
-    half-integer powers of pi (``pi_twice`` counts powers of sqrt(pi)).
-    Total-volume formulas over the reals and the Milz-Strunz volume
-    profile produce values of this shape; the radical is carried
-    symbolically, never rounded.
-    """
-
-    coefficient: Fraction
-    pi_twice: int = 0
-    radicand: int = 1
-
-    def __post_init__(self):
-        s, r = square_free_split(self.radicand)
-        if s != 1 or r != self.radicand:
-            object.__setattr__(self, "coefficient", self.coefficient * s)
-            object.__setattr__(self, "radicand", r)
-        if self.coefficient == 0:
-            object.__setattr__(self, "pi_twice", 0)
-            object.__setattr__(self, "radicand", 1)
-
     @property
     def pi_power(self) -> int:
-        """Integer part of the pi exponent (valid when ``pi_twice`` is even)."""
+        """Exponent of pi (valid when ``pi_twice`` is even)."""
         if self.pi_twice % 2:
             raise ValueError("pi exponent is half-integer; use pi_twice")
         return self.pi_twice // 2
 
     def value(self, dps: int = 50) -> mpmath.mpf:
+        """Numeric value at ``dps`` significant digits."""
         with mpmath.workdps(dps + 10):
-            v = (mpmath.mpf(self.coefficient.numerator) / self.coefficient.denominator
+            v = (mpmath.mpf(self.numerator) / self.denominator
                  * mpmath.pi ** (mpmath.mpf(self.pi_twice) / 2)
                  * mpmath.sqrt(self.radicand))
             return +v
@@ -133,33 +87,28 @@ class RadicalPiRational:
         return float(self.value(30))
 
     def __mul__(self, other):
-        if isinstance(other, RadicalPiRational):
-            merged = self.radicand * other.radicand
-            return RadicalPiRational(self.coefficient * other.coefficient,
-                                     self.pi_twice + other.pi_twice, merged)
-        if isinstance(other, PiRational):
-            return RadicalPiRational(self.coefficient * other.coefficient,
-                                     self.pi_twice + 2 * other.pi_power, self.radicand)
         if isinstance(other, (int, Fraction)):
-            return RadicalPiRational(self.coefficient * other, self.pi_twice, self.radicand)
-        return NotImplemented
+            other = PiRational(Fraction(other))
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        return PiRational(self.coefficient * other.coefficient,
+                          pi_twice=self.pi_twice + other.pi_twice,
+                          radicand=self.radicand * other.radicand)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, PiRational):
-            return RadicalPiRational(self.coefficient / other.coefficient,
-                                     self.pi_twice - 2 * other.pi_power, self.radicand)
-        if isinstance(other, RadicalPiRational):
-            # sqrt(a)/sqrt(b) = sqrt(a*b)/b
-            return RadicalPiRational(self.coefficient / (other.coefficient * other.radicand),
-                                     self.pi_twice - other.pi_twice,
-                                     self.radicand * other.radicand)
         if isinstance(other, (int, Fraction)):
-            return RadicalPiRational(self.coefficient / other, self.pi_twice, self.radicand)
-        return NotImplemented
+            other = PiRational(Fraction(other))
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        # sqrt(a)/sqrt(b) = sqrt(a*b)/b
+        return PiRational(self.coefficient / (other.coefficient * other.radicand),
+                          pi_twice=self.pi_twice - other.pi_twice,
+                          radicand=self.radicand * other.radicand)
 
     def format(self) -> str:
+        """Render as ``p/q*pi^a*sqrt(r*pi)`` (omitting trivial parts)."""
         c = self.coefficient
         parts = [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"]
         half, odd = divmod(self.pi_twice, 2)
@@ -207,4 +156,4 @@ class FactorizedPiRational:
 
     def value(self) -> PiRational:
         coeff = self.sign * self.numerator.value() / self.denominator.value()
-        return PiRational(coeff, self.pi_power)
+        return PiRational(coeff, pi_twice=2 * self.pi_power)

@@ -32,8 +32,7 @@ from functools import partial
 import mpmath
 import numpy as np
 import scipy
-from scipy.stats import beta as beta_dist
-from scipy.stats import norm as norm_dist
+from scipy.special import betaincinv, ndtri
 
 from .criteria import classify_blocks
 from .exactmath import CatalogMiss, chi_catalog, is_prime
@@ -43,6 +42,7 @@ from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_blocks
 CHUNK_SAMPLES = 65_536
 CI_LEVEL = 0.95
 CP_FALLBACK_HITS = 30  # below this many hits (or misses), Wald is unreliable
+CANDIDATE_CAP = 200_000  # conjecture_search refuses a lattice with more candidates
 
 
 def build_info() -> dict:
@@ -341,29 +341,28 @@ def experiment_report(cfg: ExperimentConfig, tally: TrialTally) -> dict:
     }
 
 
-def wald_ci(samples: int, hits: int, level: float = CI_LEVEL) -> tuple[float, float]:
-    """Binomial confidence interval: Wald, with exact fallback near 0 or n.
+def wald_ci(samples: int, hits: int) -> tuple[float, float]:
+    """Binomial confidence interval at ``CI_LEVEL``: Wald, with exact
+    fallback near 0 or n.
 
     The Wald form p +- z sqrt(p(1-p)/n) reproduces the published intervals;
     with fewer than 30 hits (or misses) it degenerates, so the exact
-    Clopper-Pearson interval is substituted there.
+    Clopper-Pearson interval (beta quantiles) is substituted there.
     """
     if samples < 1 or not 0 <= hits <= samples:
         raise ValueError("need 0 <= hits <= samples, samples >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    alpha = 1.0 - level
+    alpha = 1.0 - CI_LEVEL
     if hits < CP_FALLBACK_HITS or samples - hits < CP_FALLBACK_HITS:
-        lo = 0.0 if hits == 0 else float(beta_dist.ppf(alpha / 2, hits, samples - hits + 1))
-        hi = 1.0 if hits == samples else float(beta_dist.ppf(1 - alpha / 2, hits + 1, samples - hits))
+        lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
+        hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
         return lo, hi
     p = hits / samples
-    half = float(norm_dist.ppf(1.0 - alpha / 2)) * math.sqrt(p * (1.0 - p) / samples)
+    half = float(ndtri(1.0 - alpha / 2)) * math.sqrt(p * (1.0 - p) / samples)
     return p - half, p + half
 
 
 def _conditional_ci(samples: int, hits: int) -> list[float]:
-    """:func:`wald_ci` at ``CI_LEVEL``, or [nan, nan] for an empty condition."""
+    """:func:`wald_ci`, or [nan, nan] for an empty condition."""
     return list(wald_ci(samples, hits)) if samples else [float("nan")] * 2
 
 
@@ -493,8 +492,8 @@ def _smooth_values(primes: tuple[int, ...], max_value: int, max_exp: int) -> lis
     return sorted(values)
 
 
-def conjecture_search(lo, hi, primes, max_denominator: int, max_exponent: int,
-                      candidate_cap: int = 200_000) -> list[ConjectureCandidate]:
+def conjecture_search(lo, hi, primes, max_denominator: int,
+                      max_exponent: int) -> list[ConjectureCandidate]:
     """All reduced p/q in [lo, hi] with q smooth over ``primes``, ranked.
 
     The score favors the structured rationals the literature gravitates
@@ -523,7 +522,7 @@ def conjecture_search(lo, hi, primes, max_denominator: int, max_exponent: int,
             score = (len(support) + len(str(p))
                      - int(is_perfect_power(p)) - int(is_perfect_power(q)))
             out.append(ConjectureCandidate(p, q, support, score))
-            if len(out) > candidate_cap:
+            if len(out) > CANDIDATE_CAP:
                 raise ValueError(
                     "candidate cap exceeded; narrow the interval or the lattice")
     out.sort(key=lambda c: (c.score, c.denominator, c.numerator))

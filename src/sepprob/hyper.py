@@ -34,6 +34,7 @@ import numpy as np
 
 SERIES_RTOL = 2.0 ** -53  # float64 unit roundoff
 SERIES_CHUNK = 128
+MAX_TERMS = 2_000_000
 
 
 def poch(a: Fraction, n: int) -> Fraction:
@@ -67,8 +68,7 @@ def hyp3f2_reg_poly(a: tuple[int, int, int], b: tuple[int, int]) -> list[Fractio
 
 
 def hyp3f2_reg_series(a: tuple[float, float, float], b: tuple[float, float],
-                      z: np.ndarray, rtol: float = SERIES_RTOL,
-                      max_terms: int = 2_000_000) -> np.ndarray:
+                      z: np.ndarray) -> np.ndarray:
     """Regularized 3F2 summed in term blocks over an array of z in [0, 1).
 
     The arguments are sorted, so that those needing many terms share
@@ -82,11 +82,11 @@ def hyp3f2_reg_series(a: tuple[float, float, float], b: tuple[float, float],
     out = np.empty_like(flat)
     for lo in range(0, flat.size, SERIES_CHUNK):
         out[order[lo:lo + SERIES_CHUNK]] = _series_chunk(
-            a, b, flat[lo:lo + SERIES_CHUNK], rtol, max_terms)
+            a, b, flat[lo:lo + SERIES_CHUNK])
     return out.reshape(z.shape)
 
 
-def _series_chunk(a, b, z, rtol, max_terms):
+def _series_chunk(a, b, z):
     out = np.empty_like(z)
     idx = np.arange(z.size)  # elements still summing
     t = np.full(z.shape, 1.0 / (math.gamma(b[0]) * math.gamma(b[1])))
@@ -95,10 +95,10 @@ def _series_chunk(a, b, z, rtol, max_terms):
     zz = z[:, None]
     roots = max(abs(a[0]), abs(a[1]), abs(a[2]))
     n0 = 0
-    while idx.size and n0 < max_terms:
+    while idx.size and n0 < MAX_TERMS:
         # blocks double from 32 to 1024 terms, so most elements stop within
         # the first one and a block of a full chunk holds at most 2**17 terms
-        size = min(max(32, n0), 1024, max_terms - n0)
+        size = min(max(32, n0), 1024, MAX_TERMS - n0)
         n = np.arange(n0, n0 + size, dtype=float)
         ratio = ((a[0] + n) * (a[1] + n) * (a[2] + n)
                  / ((b[0] + n) * (b[1] + n) * (n + 1.0)))
@@ -108,7 +108,7 @@ def _series_chunk(a, b, z, rtol, max_terms):
         bound = np.cumsum(terms, axis=1)
         bound += total[:, None]
         np.abs(bound, out=bound)
-        bound *= rtol
+        bound *= SERIES_RTOL
         # past all numerator roots the step ratio increases toward z from
         # below, so r = max(z, current ratio*z) bounds every later step
         tail = np.minimum(zz * np.maximum(1.0, np.abs(ratio)), 1.0 - 1e-12)
@@ -131,7 +131,7 @@ def _series_chunk(a, b, z, rtol, max_terms):
         total, comp = total[live], comp[live]
         n0 += size
     if idx.size:
-        raise ArithmeticError("3F2 series failed to converge within max_terms")
+        raise ArithmeticError("3F2 series failed to converge within MAX_TERMS")
     return out
 
 

@@ -34,7 +34,8 @@ def epsilon_ratio_batch_2x2(rhos: np.ndarray) -> np.ndarray:
     squared singular values are the roots lam of det(D2 - lam D1) = 0, so
     eps = sqrt(lam_min / lam_max), solved per sample in closed form.  Samples
     with a non-positive-definite block (a measure-zero event) come back as
-    NaN.
+    NaN.  For positive-definite blocks the roots are real, so a negative
+    discriminant is rounding at a double root (D2 = c D1) and clamps to 0.
     """
     d1 = rhos[:, :2, :2]
     d2 = rhos[:, 2:, 2:]
@@ -43,7 +44,7 @@ def epsilon_ratio_batch_2x2(rhos: np.ndarray) -> np.ndarray:
     beta = (d2[:, 0, 0] * d1[:, 1, 1] + d2[:, 1, 1] * d1[:, 0, 0]
             - 2 * (d2[:, 0, 1] * d1[:, 0, 1].conj()).real).real
     disc = beta * beta - 4 * det1 * det2
-    good = (det1 > 0) & (det2 > 0) & (disc >= 0) & (beta > 0)
+    good = (det1 > 0) & (det2 > 0) & (beta > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         root = np.sqrt(np.maximum(disc, 0.0))
         ratio = (beta - root) / (beta + root)

@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
-from scipy.stats import qmc
 
 from . import hyper
 from .exactmath import chi_catalog, master_chi
@@ -227,6 +226,9 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
         raise ValueError("requires integer k >= 0")
     if eps == 0.0:
         return 0.0
+    # imported here: scipy.stats costs ~1 s, and only this oracle needs it
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
     pts = sampler.random(n_points)
     r14, r23, r24 = pts[:, 0], pts[:, 1], pts[:, 2]

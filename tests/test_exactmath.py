@@ -11,7 +11,6 @@ from sepprob import exactmath as em
 from sepprob.exactmath import (
     CatalogMiss,
     PiRational,
-    RadicalPiRational,
     chi_catalog,
     factor_int,
     factorize,
@@ -84,7 +83,7 @@ def test_volume_hs_matches_float_oracle(field, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_hs_to_lebesgue_normalization_complex(n):
     ratio = volume_hs("C", n) / volume_lebesgue("C", n)
-    assert ratio == RadicalPiRational(Fraction(2 ** (n * (n - 1) // 2)), 0, n)
+    assert ratio == PiRational(Fraction(2 ** (n * (n - 1) // 2)), radicand=n)
 
 
 def test_volume_hs_real_positive():
@@ -329,11 +328,26 @@ def test_factorize_roundtrip_identity():
         den = 1
         while den < 10 ** 30:
             den *= int(rng.choice(primes)) ** int(rng.integers(1, 3))
-        x = PiRational(Fraction(num, den), int(rng.integers(-6, 7)))
+        x = PiRational(Fraction(num, den), pi_twice=2 * int(rng.integers(-6, 7)))
         fact = factorize(x)
         assert fact.value() == x
     with pytest.raises(ValueError):
         factorize(PiRational(Fraction(0)))
+
+
+def test_pi_rational_exponents_are_keyword_only():
+    # a positional exponent would be ambiguous between pi**a and pi**(a/2)
+    with pytest.raises(TypeError):
+        PiRational(Fraction(1), 3)
+    assert PiRational(Fraction(1), pi_twice=6).pi_power == 3
+
+
+def test_factorize_refuses_a_radical():
+    # sqrt(2) * pi / 3: factoring only 1/3 would drop the radical
+    with pytest.raises(ValueError):
+        factorize(volume_hs("C", 2))
+    with pytest.raises(ValueError):
+        factorize(PiRational(Fraction(1, 3), pi_twice=1))
 
 
 def test_factorize_handles_large_prime_cofactors():

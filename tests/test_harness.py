@@ -47,23 +47,23 @@ def small_cfg(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_wald_ci_reproduces_published_intervals():
-    lo, hi = wald_ci(2_900_000_000, 78_293_301, 0.95)
+    lo, hi = wald_ci(2_900_000_000, 78_293_301)
     assert round(lo, 7) == 0.0269918
     assert round(hi, 7) == 0.0270036
-    lo, hi = wald_ci(3_530_000_000, 462_704_503, 0.95)
+    lo, hi = wald_ci(3_530_000_000, 462_704_503)
     assert round(lo, 6) == 0.131067
     assert round(hi, 6) == 0.131089
 
 
 def test_wald_ci_degenerate_falls_back_to_exact():
-    lo, hi = wald_ci(1000, 0, 0.95)
+    lo, hi = wald_ci(1000, 0)
     assert lo == 0.0
     assert hi == pytest.approx(1 - 0.025 ** (1 / 1000), rel=1e-9)
-    lo, hi = wald_ci(1000, 1000, 0.95)
+    lo, hi = wald_ci(1000, 1000)
     assert hi == 1.0
     assert lo == pytest.approx(0.025 ** (1 / 1000), rel=1e-9)
     # rare-hit regime uses Clopper-Pearson even away from 0
-    lo, hi = wald_ci(10_000, 5, 0.95)
+    lo, hi = wald_ci(10_000, 5)
     assert 0 < lo < 5 / 10_000 < hi < 1
 
 
@@ -72,8 +72,18 @@ def test_wald_ci_validation():
         wald_ci(0, 0)
     with pytest.raises(ValueError):
         wald_ci(10, 11)
-    with pytest.raises(ValueError):
-        wald_ci(10, 5, 1.5)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is most of the package's import time; only the QMC
+    # oracle needs it, and it imports it on first call
+    code = "import sys, sepprob; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert res.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,22 @@ def test_epsilon_ratio_scalar_blocks_give_one():
     rho /= np.trace(rho)
     assert eps_one(rho) == pytest.approx(1.0, rel=1e-12)
     assert eps_oracle(rho) == pytest.approx(1.0, rel=1e-12)
+    # random proportional blocks: the discriminant is zero up to rounding,
+    # and a slightly negative one must not turn eps into NaN
+    rng = np.random.default_rng(23)
+    for field in ("R", "C"):
+        g = rng.standard_normal((2000, 2, 2))
+        if field == "C":
+            g = g + 1j * rng.standard_normal((2000, 2, 2))
+        d1 = g @ g.conj().swapaxes(1, 2)
+        c = rng.uniform(0.1, 3.0, 2000)
+        rhos = np.zeros((2000, 4, 4), dtype=d1.dtype)
+        rhos[:, :2, :2] = d1
+        rhos[:, 2:, 2:] = c[:, None, None] * d1
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        eps = epsilon_ratio_batch_2x2(rhos)
+        assert np.isfinite(eps).all(), field
+        assert np.abs(1.0 - eps).max() < 1e-4, field
 
 
 def test_epsilon_ratio_singular_block_is_nan():
