@@ -38,10 +38,6 @@ from .harness import (
 from .sampling import SamplerSpec
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _emit(payload: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -78,7 +74,7 @@ def _cmd_exact(args) -> None:
         result["exact"] = str(val)
     elif formula == "chi":
         d = args.d
-        k = _parse_rational(args.k)
+        k = Fraction(args.k)
         result["params"] = {"d": d, "k": args.k, "epsilon": args.epsilon,
                             "family": args.family}
         result["exact"] = repr(chi_catalog(d, k, args.epsilon, family=args.family))
@@ -173,7 +169,7 @@ def _eps_grid(text: str) -> list[float]:
 
 
 def _cmd_quadrature(args) -> None:
-    k = _parse_rational(args.k) if args.k is not None else Fraction(0)
+    k = Fraction(args.k)
     rows = []
     if args.eta is not None:
         chi = quadrature.chi_from_catalog(args.d, k)
@@ -183,10 +179,9 @@ def _cmd_quadrature(args) -> None:
     else:
         for eps in [args.epsilon] if args.epsilon is not None else args.eps_grid:
             if args.method == "qmc":
-                val = quadrature.chi_numeric_qmc(args.d, int(k), eps)
+                val = quadrature.chi_numeric_qmc(args.d, k, eps)
             else:
-                val = quadrature.chi_numeric(args.d, int(k), eps,
-                                             nodes=args.nodes)
+                val = quadrature.chi_numeric(args.d, k, eps, nodes=args.nodes)
             try:
                 ref = chi_catalog(args.d, k, eps)
                 err = abs(val - ref)

@@ -263,17 +263,24 @@ def master_chi_coefficients(d: int, k: int = 0) -> list[Fraction]:
         d! (d+k)!^2 / ((d/2)! (d/2+k)!)
             * 3F2_reg(-d/2-k, d/2, d; d/2+1, 3d/2+k+1; eps^2).
 
-    At k = 0 this is the master formula chi_{d,0}; at every k, half of it is
-    the closed term of the extended master decomposition
-    (``quadrature.extended_master_parts``).
+    The series stops after its h + k + 1 terms (h = d/2), which are built
+    from the term ratio.  At k = 0 this is the master formula chi_{d,0}; at
+    every k, half of it is the closed term of the extended master
+    decomposition (``quadrature.extended_master_parts``).
     """
     if d < 2 or d % 2:
         raise ValueError("terminating master series requires even d >= 2")
     h = d // 2
-    f = hyper.hyp3f2_reg_poly((-h - k, h, d), (h + 1, 3 * h + k + 1))
-    scale = Fraction(math.factorial(d) * math.factorial(d + k) ** 2,
-                     math.factorial(h) * math.factorial(h + k))
-    return [scale * c for c in f]
+    # regularized term n: (-h-k)_n (h)_n (d)_n / ((h+n)! (3h+k+n)! n!)
+    c = Fraction(math.factorial(d) * math.factorial(d + k) ** 2,
+                 math.factorial(h) ** 2 * math.factorial(h + k)
+                 * math.factorial(3 * h + k))
+    coeffs = [c]
+    for n in range(h + k):
+        c *= Fraction((n - h - k) * (h + n) * (d + n),
+                      (h + n + 1) * (3 * h + k + n + 1) * (n + 1))
+        coeffs.append(c)
+    return coeffs
 
 
 def master_chi(d: int, eps):

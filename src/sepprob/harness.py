@@ -25,7 +25,7 @@ import platform
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -163,7 +163,7 @@ def _chunk_blocks(spec: SamplerSpec, stream_id: int, chunk_index: int, count: in
     """The chunk's states as :func:`sample_blocks` yields them, from its own
     Philox stream."""
     stream = RandomStream(spec.seed, stream_id, chunk_index)
-    return sample_blocks(replace(spec, stream_id=stream_id), stream, count)
+    return sample_blocks(spec, stream, count)
 
 
 def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,

@@ -1,15 +1,12 @@
-"""Regularized hypergeometric evaluation used by the chi-function formulas.
+"""The regularized 3F2 series of the odd-d master formula, in float64.
 
-Two regimes cover everything needed here:
+The series does not terminate for odd division-ring dimension d, so it is
+summed over an array of arguments in [0, 1).  The z = 1 endpoint the master
+formula needs has a closed form (Dixon's theorem; see
+:func:`sepprob.exactmath.master_chi`); the terminating even-d series has
+exact coefficients (:func:`sepprob.exactmath.master_chi_coefficients`).
 
-* terminating series (a numerator parameter is a nonpositive integer):
-  summed exactly over Fractions, returning polynomial coefficients;
-* non-terminating series (odd division-ring dimension): summed in float64
-  over an array of arguments in [0, 1).  The z = 1 endpoint the master
-  formula needs has a closed form (Dixon's theorem; see
-  :func:`sepprob.exactmath.master_chi`).
-
-The float series is summed a block of terms per numpy step, not a term per
+The series is summed a block of terms per numpy step, not a term per
 Python step.  Inside a block a cumulative product of ratio*z gives the
 terms and a cumulative sum the partial sums S; each argument stops at its
 first term whose geometric tail bound |t|*r/(1-r) is at most
@@ -28,43 +25,12 @@ parameters, so lower-parameter poles are harmless.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 SERIES_RTOL = 2.0 ** -53  # float64 unit roundoff
 SERIES_CHUNK = 128
 MAX_TERMS = 2_000_000
-
-
-def poch(a: Fraction, n: int) -> Fraction:
-    """Pochhammer symbol (a)_n over exact rationals."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
-def hyp3f2_reg_poly(a: tuple[int, int, int], b: tuple[int, int]) -> list[Fraction]:
-    """Coefficients of the terminating regularized 3F2 as a polynomial in z.
-
-    Requires at least one nonpositive-integer numerator parameter and
-    positive-integer denominator parameters (the only case arising from
-    the even-d master formulas).
-    """
-    stops = [-ai for ai in a if ai <= 0]
-    if not stops:
-        raise ValueError("series does not terminate: no nonpositive numerator parameter")
-    n_terms = min(stops) + 1
-    if any(bi <= 0 for bi in b):
-        raise ValueError("expected positive integer lower parameters")
-    coeffs = []
-    for n in range(n_terms):
-        num = poch(Fraction(a[0]), n) * poch(Fraction(a[1]), n) * poch(Fraction(a[2]), n)
-        den = (math.factorial(b[0] + n - 1) * math.factorial(b[1] + n - 1)
-               * math.factorial(n))
-        coeffs.append(num / den)
-    return coeffs
 
 
 def hyp3f2_reg_series(a: tuple[float, float, float], b: tuple[float, float],
@@ -133,9 +99,3 @@ def _series_chunk(a, b, z):
     if idx.size:
         raise ArithmeticError("3F2 series failed to converge within MAX_TERMS")
     return out
-
-
-def hyp2f1_poly_coeffs(c: Fraction, k: int) -> list[Fraction]:
-    """Coefficients of the terminating 2F1(c, -k; c+1; w) in powers of w."""
-    return [poch(c, j) * poch(Fraction(-k), j) / (poch(c + 1, j) * math.factorial(j))
-            for j in range(k + 1)]

@@ -10,7 +10,8 @@ Three integration problems live here:
   (incomplete-beta) form, plus a quasi-random 3D oracle of the raw
   constrained integral;
 * the extended master decomposition: a terminating regularized 3F2 term
-  plus a 2D integral, summing to chi_{d,k}(eps) for even d.
+  plus the partial-transpose-region 2D integral, summing to chi_{d,k}(eps)
+  for even d.
 
 Endpoint weight singularities (fractional exponents > -1) are absorbed by
 Gauss-Jacobi rules; the integrable blowup some chi functions have as the
@@ -22,14 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from . import hyper
 from .exactmath import chi_catalog, master_chi
 from .exactmath.formulas import master_chi_coefficients
 
@@ -55,12 +54,11 @@ class ChiFunction:
         return self.fn(eps)
 
 
-def chi_from_catalog(d: int, k, family: str = "full") -> ChiFunction:
+def chi_from_catalog(d: int, k) -> ChiFunction:
     """Wrap a closed-form catalog entry (raises CatalogMiss if absent)."""
-    chi_catalog(d, k, 0.5, family=family)  # probe coverage early
+    chi_catalog(d, k, 0.5)  # probe coverage early
     # (1-eps^2)^(k+1) blows up at eps = 1
-    singular = family == "full" and d == 2 and float(k) < -1.0
-    return ChiFunction(lambda e: chi_catalog(d, k, e, family=family), singular)
+    return ChiFunction(lambda e: chi_catalog(d, k, e), d == 2 and float(k) < -1.0)
 
 
 def chi_from_master(d: int) -> ChiFunction:
@@ -176,6 +174,16 @@ def _chi_norm(d: int, k: int) -> float:
             / (8.0 * math.gamma(d + k + 1) ** 2))
 
 
+def _numeric_k(k, eps: float) -> int:
+    """The integer k of a numeric chi_{d,k}(eps), refusing k or eps outside
+    the domain of the constrained integral."""
+    if k < 0 or int(k) != k:
+        raise ValueError("numeric path requires integer k >= 0")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    return int(k)
+
+
 def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
     """chi_{d,k}(eps) by deterministic constrained integration.
 
@@ -186,13 +194,9 @@ def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
     follows the diagonal r23 = eps * r14).  Even d makes both integrands
     polynomial, so the tensor Gauss-Legendre rule converges to roundoff.
     """
-    if k < 0 or int(k) != k:
-        raise ValueError("numeric path requires integer k >= 0")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    k = _numeric_k(k, eps)
     if eps == 0.0:
         return 0.0
-    k = int(k)
     t, wt = _gl01(nodes)
     r = t[:, None]
     wr = wt[:, None]
@@ -204,7 +208,17 @@ def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
     ca = math.gamma(d / 2) * math.gamma(k + 1) / (2.0 * math.gamma(d / 2 + k + 1))
     integrand_a = (r * rt) ** (d - 1) * ca * a ** (k + d / 2) * (eps * r)
     num_a = float(np.sum(wr * wc * integrand_a))
-    # region B: r23 in [eps r, eps], the PT constraint binds
+    return (num_a + _pt_region(d, k, eps, nodes)) / _chi_norm(d, k)
+
+
+def _pt_region(d: int, k: int, eps: float, nodes: int) -> float:
+    """The unnormalised chi_{d,k} integral over region B, r23 in [eps r, eps],
+    where the partial transpose's constraint binds."""
+    t, wt = _gl01(nodes)
+    r = t[:, None]
+    wr = wt[:, None]
+    c = t[None, :]
+    wc = wt[None, :]
     sigma = r + (1.0 - r) * c
     a2 = (1.0 - r * r) * (1.0 - (eps * sigma) ** 2)
     b2 = (1.0 - (eps * r) ** 2) * (1.0 - sigma * sigma)
@@ -213,8 +227,7 @@ def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
         q += (math.comb(k, j) * (-1.0) ** j / (2 * j + d)
               * a2 ** (k - j) * b2 ** (j + d / 2))
     integrand_b = (r * eps * sigma) ** (d - 1) * q * eps * (1.0 - r)
-    num_b = float(np.sum(wr * wc * integrand_b))
-    return (num_a + num_b) / _chi_norm(d, k)
+    return float(np.sum(wr * wc * integrand_b))
 
 
 def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
@@ -222,8 +235,7 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
     """Quasi-random 3D oracle for chi_{d,k}(eps): the raw constrained
     integral over [0,1]^3, no reduction.  Accuracy ~1e-3; retained as an
     independent cross-check of the deterministic path."""
-    if k < 0 or int(k) != k:
-        raise ValueError("requires integer k >= 0")
+    k = _numeric_k(k, eps)
     if eps == 0.0:
         return 0.0
     # imported here: scipy.stats costs ~1 s, and only this oracle needs it
@@ -236,7 +248,7 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
     b = (1.0 - (eps * r14) ** 2) * (1.0 - (r23 / eps) ** 2)
     feasible = (r24 * r24 < a) & (r24 * r24 < b) & (r23 < eps)
     weight = (r14 * r23 * r24) ** (d - 1) * np.clip(a - r24 * r24, 0.0, None) ** k
-    return float(np.mean(np.where(feasible, weight, 0.0))) / _chi_norm(d, int(k))
+    return float(np.mean(np.where(feasible, weight, 0.0))) / _chi_norm(d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +259,12 @@ def extended_master_parts(d: int, k: int, eps: float,
                           nodes: int = 80) -> tuple[float, float]:
     """The two summands of the extended master expression for chi_{d,k}.
 
-    The first is the closed terminating-3F2 term, half the master series
-    taken to order k (``master_chi_coefficients(d, k)``); the second is the
-    2D integral over EXTENDED_MASTER_DOMAIN of the hypergeometric-weighted
-    product (evaluated with A^k 2F1(d/2,-k;d/2+1;B/A) expanded into the
-    finite polynomial sum_j c_j A^(k-j) B^j, which removes all divisions).
-    For k = 0 each part equals half of the d-th master formula.
+    The first is the closed term, half the master series taken to order k
+    (``master_chi_coefficients(d, k)``); it is the closed form of
+    ``chi_numeric``'s region A.  The second is the 2D integral over
+    EXTENDED_MASTER_DOMAIN: ``chi_numeric``'s region B, where the partial
+    transpose's constraint binds.  For k = 0 each part equals half of the
+    d-th master formula.
     """
     if d % 2 or d < 2:
         raise ValueError("extended decomposition implemented for even d")
@@ -266,23 +278,7 @@ def extended_master_parts(d: int, k: int, eps: float,
     for c in reversed(master_chi_coefficients(d, k)):
         t1 = t1 * e2 + float(c / 2)
     t1 *= eps ** d
-
-    t, wt = _gl01(nodes)
-    r = t[:, None]
-    wr = wt[:, None]
-    v = t[None, :]
-    wv = wt[None, :]
-    sigma = r + (1.0 - r) * v
-    a = (1.0 - r * r) * (1.0 - e2 * sigma * sigma)
-    b = (1.0 - e2 * r * r) * (1.0 - sigma * sigma)
-    c2f1 = hyper.hyp2f1_poly_coeffs(Fraction(d, 2), k)
-    poly = np.zeros_like(a)
-    for j, cj in enumerate(c2f1):
-        poly += float(cj) * a ** (k - j) * b ** j
-    integrand = r ** (d - 1) * sigma ** (d - 1) * b ** (d // 2) * poly * (1.0 - r)
-    c2 = 1.0 / (d * _chi_norm(d, k))
-    t2 = c2 * eps ** d * float(np.sum(wr * wv * integrand))
-    return t1, t2
+    return t1, _pt_region(d, k, eps, nodes) / _chi_norm(d, k)
 
 
 def extended_master(d: int, k: int, eps: float, nodes: int = 80) -> float:

@@ -25,6 +25,7 @@ from sepprob.exactmath import (
     volume_hs,
     volume_lebesgue,
 )
+from sepprob.exactmath.formulas import master_chi_coefficients
 
 # ---------------------------------------------------------------------------
 # volumes
@@ -218,6 +219,26 @@ def test_master_chi_even_matches_catalog():
     assert np.max(np.abs(master_chi(2, eps) - chi_catalog(2, 0, eps))) < 1e-12
     assert np.max(np.abs(master_chi(4, eps) - chi_catalog(4, 0, eps))) < 1e-12
     assert master_chi(2, 1.0) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_master_chi_coefficients_match_mpmath_3f2(d):
+    # the terminating series against mpmath's own 3F2 at z = 3/10:
+    # scale * 3F2(-h-k, h, d; h+1, 3h+k+1; z) / (Gamma(h+1) Gamma(3h+k+1))
+    h = d // 2
+    z = Fraction(3, 10)
+    with mpmath.workdps(50):
+        for k in range(4):
+            coeffs = master_chi_coefficients(d, k)
+            got = sum(c * z ** n for n, c in enumerate(coeffs))
+            scale = Fraction(math.factorial(d) * math.factorial(d + k) ** 2,
+                             math.factorial(h) * math.factorial(h + k))
+            ref = (mpmath.mpf(scale.numerator) / scale.denominator
+                   * mpmath.hyp3f2(-h - k, h, d, h + 1, 3 * h + k + 1,
+                                   mpmath.mpf(3) / 10)
+                   / (mpmath.gamma(h + 1) * mpmath.gamma(3 * h + k + 1)))
+            got_mp = mpmath.mpf(got.numerator) / got.denominator
+            assert abs(got_mp - ref) < abs(ref) * mpmath.mpf(10) ** -40
 
 
 def test_master_chi_odd_normalization():

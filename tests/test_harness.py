@@ -496,6 +496,8 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "eps must lie in [0, 1]"),
     (["exact", "--formula", "chi", "--d", "2", "--k", "1", "--epsilon", "-0.5"],
      "eps must lie in [0, 1]"),
+    (["quadrature", "--d", "2", "--k", "1/2", "--epsilon", "0.5"],
+     "numeric path requires integer k >= 0"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main

@@ -92,6 +92,9 @@ def test_chi_numeric_rejects_bad_input():
         qd.chi_numeric(2, -1, 0.5)
     with pytest.raises(ValueError):
         qd.chi_numeric(2, 0, 1.5)
+    for eps in (1.5, -0.5):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+            qd.chi_numeric_qmc(2, 0, eps, n_points=64)
 
 
 def test_chi_numeric_monotone_in_k():
@@ -149,6 +152,17 @@ def test_extended_master_reproduces_chi(d, k):
         ref = (chi_catalog(d, k, float(eps)) if (d, k) != (2, 3) and (d, k) != (4, 2)
                else qd.chi_numeric(d, k, float(eps)))
         assert qd.extended_master(d, k, float(eps)) == pytest.approx(ref, abs=1e-6)
+
+
+def test_extended_master_t1_is_the_closed_form_of_region_a():
+    # chi_numeric sums region A and the PT region; extended_master_parts
+    # sums T1 (region A in closed form) and the same PT-region integral
+    for d in (2, 4, 6):
+        for k in range(5):
+            for eps in (0.1, 0.37, 0.83, 1.0):
+                parts = qd.extended_master_parts(d, k, eps, 80)
+                assert sum(parts) == pytest.approx(
+                    qd.chi_numeric(d, k, eps, nodes=80), rel=1e-12, abs=1e-12)
 
 
 def test_extended_master_rejects_odd_d():
