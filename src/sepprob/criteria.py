@@ -51,30 +51,80 @@ uncertified rows (to the back) are copied out, as matrices, into one
 buffer for all the states.  After the last block, eigvalsh reads the
 buffer's front rows where they lie, and the rows left open feed one
 reference call.
+
+X-states skip the matrices (``classify_x_states``).  An X-state is a
+direct sum of the 2 x 2 pair blocks [[p_i, z], [conj z, p_j]], j = n-1-i,
+and of the centre p_c of odd n.  Its partial transpose is another such sum
+with the same diagonal, the anti-diagonal entries moved between pairs
+(``_x_pair_map``).  So both spectra are pair spectra,
+lam_+ = (p_i + p_j)/2 + sqrt(((p_i - p_j)/2)^2 + |z|^2) and
+lam_- = (p_i p_j - |z|^2) / lam_+, and both determinants are products of
+pair determinants p_i p_j - |z|^2 (times p_c).  A row's verdicts are
+trusted only under this certificate:
+
+* lam_+ sums nonnegative terms, and lam_- divides by lam_+ a difference of
+  terms at most lam_+^2, so each computed eigenvalue is within a few ulp of
+  lam_+ <= 1 of the exact eigenvalue of the very matrix the reference
+  factors; LAPACK's is within ROUNDING of it.  The two differ by less than
+  2 ROUNDING.
+* The negative count stands when no partial-transpose eigenvalue lies
+  within 2 ROUNDING of -PSD_TOL: each is then on the reference's side of
+  the threshold.
+* det_gt takes the LDL^H path's tie rule (``_det_settled``).  On a split
+  with a factor of dimension 1, rho^PT is rho or rho^T = conj(rho); the
+  determinants tie exactly, and so do the reference's products, since
+  rounding to nearest commutes with conjugation and LAPACK's spectrum of
+  conj(rho) is bit for bit that of rho.  det_gt is False there.
+* Johnston's test is evaluated on the sorted closed-form spectrum with
+  every eigenvalue moved by 2 ROUNDING for it, and again against it.
+  Sorting moves no eigenvalue further than the largest error, and the
+  test is monotone in each sorted eigenvalue, so where the two agree the
+  reference agrees with them.
+
+Rows are classified ``X_SLICE`` at a time, laid out with the entry index
+first so that the reductions over a row's entries run along the slice.
+Every uncertified row is assembled and takes the reference path.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .linalg import partial_transpose_batch
-from .sampling import GRAM_BLOCK
+from .sampling import GRAM_BLOCK, _x_state_matrices
 
 PSD_TOL = 1e-13  # scaled by the (unit) trace
 ROUNDING = 1e-12  # c n u, c <= 100, n <= 64: backward error per unit scale
 CERT_FLOOR = 1e-9  # least certified |eigenvalue| per unit of LDL^H growth
 DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
+X_SLICE = 4096  # rows per slice of the closed-form X-state classifier
 
 
-def _johnston_rows(rho_eigs: np.ndarray, n: int) -> np.ndarray:
+def _johnston_rows(rho_eigs: np.ndarray, n: int, slack: float = 0.0) -> np.ndarray:
     """Johnston's separability-from-spectrum test for 2 x m states, n = 2m,
     on rows of ascending LAPACK spectra of the states themselves.
 
     True iff lambda_1 < lambda_(n-1) + 2 sqrt(lambda_(n-2) lambda_n) holds
-    strictly for the descending eigenvalues.
+    strictly for the descending eigenvalues.  A nonzero ``slack`` moves every
+    eigenvalue by it in the direction that favours the inequality, so that
+    +s (-s) gives whether the test holds for some (every) spectrum within s
+    of each sorted eigenvalue.
     """
     lam = rho_eigs[:, ::-1]  # descending
-    prod = np.clip(lam[:, n - 3], 0.0, None) * np.clip(lam[:, n - 1], 0.0, None)
-    return lam[:, 0] < lam[:, n - 2] + 2.0 * np.sqrt(prod)
+    prod = (np.clip(lam[:, n - 3] + slack, 0.0, None)
+            * np.clip(lam[:, n - 1] + slack, 0.0, None))
+    return lam[:, 0] - slack < lam[:, n - 2] + slack + 2.0 * np.sqrt(prod)
+
+
+def _det_settled(det_pt: np.ndarray, det_rho: np.ndarray, n: int) -> np.ndarray:
+    """Rows whose determinants lie far enough apart that det(rho^PT) >
+    det(rho) reads the same from the reference's LAPACK spectra.
+
+    The reference's det(rho) is off by rounding, and dips below zero by at
+    most ROUNDING (n-1)^(1-n); rows closer to a tie take the reference.
+    """
+    gap = np.abs(det_pt - det_rho)
+    return gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
+                  + ROUNDING * (n - 1.0) ** (1 - n))
 
 
 def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
@@ -180,12 +230,7 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
         if dA == 2 or dB == 2:
             johnston[rows] = _johnston_rows(rho_eigs, n)
         det_gt[rows] = det_pt_rows > det_rho
-        # the reference's det(rho) is off by rounding, and dips below zero by
-        # at most ROUNDING (n-1)^(1-n); rows that close to a tie take the
-        # reference
-        gap = np.abs(det_pt_rows - det_rho)
-        ok = gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt_rows), np.abs(det_rho))
-                    + ROUNDING * (n - 1.0) ** (1 - n))
+        ok = _det_settled(det_pt_rows, det_rho, n)
 
     ref = np.concatenate((np.flatnonzero(~ok), np.arange(back, count)))
     if ref.size:
@@ -205,3 +250,82 @@ def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
     blocks = ((lo, rhos[lo:lo + GRAM_BLOCK].transpose(1, 2, 0))
               for lo in range(0, rhos.shape[0], GRAM_BLOCK))
     return classify_blocks(blocks, rhos.shape[0], dA, dB)
+
+
+def _x_pair_map(dA: int, dB: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the partial transpose (over B) of an X-state on a (dA, dB)
+    split takes its anti-diagonal from.
+
+    rho^PT is again an X-state with rho's diagonal; pair i of rho^PT holds
+    z[:, src[i]] of rho, conjugated where ``conj[i]``.  Read off the one
+    partial transpose, applied to a matrix of signed pair labels.
+    """
+    n = dA * dB
+    i = np.arange(n // 2)
+    label = np.zeros((n, n))
+    label[i, n - 1 - i] = i + 1
+    label[n - 1 - i, i] = -(i + 1)
+    moved = partial_transpose_batch(label, dA, dB)[i, n - 1 - i]
+    return np.abs(moved).astype(np.intp) - 1, moved < 0
+
+
+def _pair_spectra(a: np.ndarray, b: np.ndarray, q: np.ndarray):
+    """Eigenvalues (lam_plus, lam_minus) of [[a, z], [conj z, b]], q = |z|^2,
+    for a, b >= 0: lam_minus is the determinant over lam_plus, free of the
+    cancellation in mean - radius."""
+    plus = 0.5 * (a + b) + np.sqrt(np.square(0.5 * (a - b)) + q)
+    return plus, (a * b - q) / plus
+
+
+def classify_x_states(diag: np.ndarray, z: np.ndarray, dA: int,
+                      dB: int) -> dict[str, np.ndarray]:
+    """The :func:`classify_blocks` verdicts for X-states given by their
+    diagonals and anti-diagonals, as ``sampling._x_state_draws`` returns
+    them, from the closed-form pair spectra of rho and rho^PT.
+
+    Rows the certificates cannot settle (see the module notes) are
+    assembled and take the eigvalsh reference path.
+    """
+    count, n = diag.shape
+    h = n // 2
+    src = _x_pair_map(dA, dB)[0]  # |z| alone sets the spectra
+    # a factor of dimension 1: rho^PT is rho or rho^T = conj(rho), with rho's
+    # spectrum, and the determinants tie exactly (see the module notes)
+    trivial = min(dA, dB) == 1
+    neg = np.empty(count, dtype=np.intp)
+    det_gt = np.zeros(count, dtype=bool)
+    johnston = np.zeros(count, dtype=bool)
+    cert = np.empty(count, dtype=bool)
+    for lo in range(0, count, X_SLICE):
+        s = slice(lo, lo + X_SLICE)
+        d = diag[s].T.copy()  # entry index first
+        q = np.square(np.abs(z[s].T))  # |z|^2
+        a, b, c = d[:h], d[::-1][:h], d[h:n - h]  # pair (i, n-1-i); centre
+        q_pt = q[src]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a NaN row is uncertified
+            pt_eigs = np.concatenate((*_pair_spectra(a, b, q_pt), c))
+            rho_eigs = np.concatenate((*_pair_spectra(a, b, q), c))
+        neg[s] = np.count_nonzero(pt_eigs < -PSD_TOL, axis=0)
+        ppt = neg[s] == 0
+        ok = np.all(np.abs(pt_eigs + PSD_TOL) > 2.0 * ROUNDING, axis=0)
+        ab, pc = a * b, np.prod(c, axis=0)
+        det_pt = np.prod(ab - q_pt, axis=0) * pc
+        det_rho = np.prod(ab - q, axis=0) * pc
+        det_gt[s] = ppt & (det_pt > det_rho)
+        if not trivial:
+            ok &= ~ppt | _det_settled(det_pt, det_rho, n)
+        if dA == 2 or dB == 2:
+            lam = np.sort(rho_eigs.T, axis=1)
+            surely = _johnston_rows(lam, n, -2.0 * ROUNDING)
+            johnston[s] = ppt & surely
+            ok &= ~ppt | (surely == _johnston_rows(lam, n, 2.0 * ROUNDING))
+        cert[s] = ok
+
+    ref = np.flatnonzero(~cert)
+    if ref.size:
+        out = _classify_eigvalsh(_x_state_matrices(diag[ref], z[ref]), dA, dB)
+        neg[ref] = out["neg_pt_eigs"]
+        det_gt[ref] = out["det_gt"]
+        johnston[ref] = out["johnston"]
+    return {"is_ppt": neg == 0, "neg_pt_eigs": neg, "det_gt": det_gt,
+            "johnston": johnston}

@@ -34,10 +34,10 @@ import numpy as np
 import scipy
 from scipy.special import betaincinv, ndtri
 
-from .criteria import classify_blocks
+from .criteria import classify_blocks, classify_x_states
 from .exactmath import CatalogMiss, chi_catalog, is_prime
 from .linalg import epsilon_ratio_batch_2x2
-from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_blocks
+from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, _x_state_draws, sample_blocks
 
 CHUNK_SAMPLES = 65_536
 CI_LEVEL = 0.95
@@ -136,6 +136,12 @@ def pool_size(threads: int, pending: int, cores: int) -> int:
     return max(1, min(threads, pending, cores))
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse a worker count below one (:func:`pool_size` would clamp it)."""
+    if threads < 1:
+        raise ValueError(f"threads {threads} must be at least 1")
+
+
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -168,8 +174,12 @@ def _chunk_blocks(spec: SamplerSpec, stream_id: int, chunk_index: int, count: in
 
 def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
                       count: int) -> dict:
-    out = classify_blocks(_chunk_blocks(spec, stream_id, chunk_index, count),
-                          count, *spec.split)
+    if spec.family == "x_state":  # closed form from the draws, no matrices
+        stream = RandomStream(spec.seed, stream_id, chunk_index)
+        out = classify_x_states(*_x_state_draws(spec, stream, count), *spec.split)
+    else:
+        out = classify_blocks(_chunk_blocks(spec, stream_id, chunk_index, count),
+                              count, *spec.split)
     hist = np.bincount(out["neg_pt_eigs"], minlength=spec.n + 1)
     return {
         "stream_id": stream_id,
@@ -269,6 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     and each chunk's Philox key are independent of the thread count.
     """
     t0 = time.perf_counter()
+    _check_threads(cfg.threads)
     grid = _chunk_grid(cfg.target_samples, cfg.streams)
     fingerprint = _checkpoint_fingerprint(cfg)
     done = _load_checkpoint(cfg.checkpoint, fingerprint) if cfg.checkpoint else {}
@@ -403,6 +414,7 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     """
     if bins < 10:
         raise ValueError("need at least 10 bins")
+    _check_threads(threads)
     spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=seed)
     grid = _chunk_grid(samples, streams)
     totals = np.zeros(bins, dtype=np.int64)

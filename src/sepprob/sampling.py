@@ -38,7 +38,11 @@ layout does not touch the draws or their order.
 X-states follow the det(rho)^k-weighted flat law on their matrix slice
 (diagonal plus anti-diagonal), drawn exactly and without rejection: the
 weight factors into a Dirichlet diagonal and independent Beta laws for the
-anti-diagonal entries.
+anti-diagonal entries.  Drawing and assembly are split: ``_x_state_draws``
+returns a chunk's diagonals and anti-diagonals, which the Monte Carlo
+runner classifies as they are (``criteria.classify_x_states``), and
+``_x_state_matrices`` assembles matrices from them, a block at a time for
+``sample_blocks``.  Both layers see the same draws in the same order.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, counter), so any partition of the work across threads or
@@ -174,9 +178,11 @@ def _x_dirichlet_alpha(field: str, n: int) -> np.ndarray:
     return alpha
 
 
-def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
-    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` X-states (nonzero
-    entries on the two diagonals only), w of shape (n, n, m).
+def _x_state_draws(spec: SamplerSpec, stream: RandomStream, count: int):
+    """The diagonals and anti-diagonals of ``count`` X-states (nonzero
+    entries on the two diagonals only): ``(diag, z)``, diag of shape
+    (count, n) and z of shape (count, n // 2), z[:, i] the entry at
+    (i, n - 1 - i) of pair i.
 
     Draws the det(rho)^k-weighted flat law on the X-slice exactly, for
     every k >= 0, in one pass with no rejection.  On the slice, det(rho) is
@@ -190,8 +196,7 @@ def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
     - C: s ~ Beta(1, k + 1), drawn by inversion as 1 - U^(1/(k+1)), with a
       uniform phase.
 
-    The whole chunk's diagonals and anti-diagonals are drawn first, in that
-    order; only the blocks are assembled one at a time.
+    The whole chunk's diagonals are drawn first, then its anti-diagonals.
     """
     rng = stream.generator
     n, k = spec.n, spec.k
@@ -206,16 +211,30 @@ def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
     else:
         x, y = rng.standard_gamma(k + 1.0, (2, count, i.size))
         z = bound * ((x - y) / (x + y))
+    return diag, z
+
+
+def _x_state_matrices(diag: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The X-states of :func:`_x_state_draws` rows ``(diag, z)`` as a stack
+    of shape (m, n, n), of z's dtype."""
+    m, n = diag.shape
+    i = np.arange(n // 2)
     rows = np.arange(n)
-    w = None
+    out = np.zeros((m, n, n), dtype=z.dtype)
+    out[:, rows, rows] = diag
+    out[:, i, n - 1 - i] = z
+    out[:, n - 1 - i, i] = z.conj()
+    return out
+
+
+def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
+    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` X-states, w of
+    shape (n, n, m): the draws of :func:`_x_state_draws`, assembled a block
+    at a time."""
+    diag, z = _x_state_draws(spec, stream, count)
     for lo in range(0, count, GRAM_BLOCK):
-        hi = min(lo + GRAM_BLOCK, count)
-        if w is None or w.shape[-1] != hi - lo:  # off the X its entries stay 0
-            w = np.zeros((n, n, hi - lo), dtype=z.dtype)
-        w[rows, rows] = diag[lo:hi].T
-        w[i, j] = z[lo:hi].T
-        w[j, i] = np.conj(z[lo:hi]).T
-        yield lo, w
+        hi = lo + GRAM_BLOCK
+        yield lo, _x_state_matrices(diag[lo:hi], z[lo:hi]).transpose(1, 2, 0)
 
 
 def sample_blocks(spec: SamplerSpec, stream: RandomStream, count: int):

@@ -7,7 +7,8 @@ from sepprob import criteria
 from sepprob.criteria import classify_batch
 from sepprob.harness import ExperimentConfig, estimate_chi_empirical, run_experiment
 from sepprob.linalg import partial_transpose_batch
-from sepprob.sampling import RandomStream, SamplerSpec, sample_batch
+from sepprob.sampling import (RandomStream, SamplerSpec, _x_state_draws, _x_state_matrices,
+                              sample_batch)
 
 
 def bell():
@@ -126,7 +127,8 @@ def test_johnston_implies_ppt_bulk():
 
 @pytest.fixture
 def reference_rows(monkeypatch):
-    """Counts the rows each classify_batch call sends to the reference path."""
+    """Counts the rows each classify_batch or classify_x_states call sends
+    to the reference path."""
     seen = []
     reference = criteria._classify_eigvalsh
 
@@ -185,11 +187,66 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
         assert np.array_equal(out[key], want), (name, key)
 
 
+# ---------------------------------------------------------------------------
+# the closed-form X-state path against the eigvalsh reference
+# ---------------------------------------------------------------------------
+
+X_SPLITS = [(1, 4), (2, 2), (4, 1), (1, 6), (2, 3), (3, 2), (6, 1), (1, 9), (3, 3), (9, 1)]
+
+
+def _x_draws(field, split, k, count, seed=41):
+    spec = SamplerSpec(field=field, n=split[0] * split[1], split=split, k=k,
+                       family="x_state", seed=seed)
+    return _x_state_draws(spec, RandomStream(seed, 0, k), count)
+
+
+@pytest.mark.parametrize("split", X_SPLITS)
+def test_x_pair_map_gives_the_partial_transpose(split):
+    diag, z = _x_draws("C", split, 0, 500)
+    src, conj = criteria._x_pair_map(*split)
+    moved = np.where(conj, z[:, src].conj(), z[:, src])
+    assert np.array_equal(partial_transpose_batch(_x_state_matrices(diag, z), *split),
+                          _x_state_matrices(diag, moved))
+
+
+@pytest.mark.parametrize("field", "RC")
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("split", X_SPLITS)
+def test_classify_x_states_matches_eigvalsh_reference(split, k, field, reference_rows):
+    count = 4096
+    diag, z = _x_draws(field, split, k, count)
+    expected = criteria._classify_eigvalsh(_x_state_matrices(diag, z), *split)
+    reference_rows.clear()
+    out = criteria.classify_x_states(diag, z, *split)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), key
+    # the closed form, not the fallback, settled almost every row
+    assert sum(reference_rows) <= count // 100
+
+
+@pytest.mark.parametrize("name,diag,z", [
+    # |z0| = |z1| on 2x2: rho^PT swaps them, so det(rho^PT) = det(rho)
+    ("determinant tie", [0.3, 0.2, 0.2, 0.3], [0.1, 0.1j]),
+    # |z0|^2 = p1 p2: a zero eigenvalue of rho^PT's pair (1, 2)
+    ("zero PT eigenvalue", [0.3, 0.2, 0.2, 0.3], [0.2, 0.1]),
+    # spectrum (0.46875, 0.25, 0.21875, 0.0625): lambda_1 = lambda_3 + 2 sqrt(lambda_2 lambda_4)
+    ("Johnston equality", [0.265625, 0.234375, 0.234375, 0.265625], [0.203125, 0.015625]),
+])
+def test_x_state_ties_take_the_reference_path(name, diag, z, reference_rows):
+    diag, z = np.array([diag]), np.array([z], dtype=complex)
+    out = criteria.classify_x_states(diag, z, 2, 2)
+    assert reference_rows == [1], name
+    expected = criteria._classify_eigvalsh(_x_state_matrices(diag, z), 2, 2)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), (name, key)
+
+
 # counts_dict of two 65,536-sample chunks (streams=2, seed 2027), recorded
 # with the eigvalsh-only classifier; the inertia path must reproduce them.
 # The rows are from sampler version 3: Bartlett-drawn full-family states and
 # direct det^k X-state draws.  The C 2x2, R 2x2, C 2x4 and X-state R 2x2
-# rows cover the remaining benchmark systems.
+# rows cover the remaining benchmark systems; the X-state C rows were
+# recorded with the LDL^H classifier, before X-states had a closed form.
 GOLDEN_TALLIES = [
     ("C", (2, 3), 0, "full", 3594, 0, 1784, [3594, 123402, 4076, 0, 0, 0, 0]),
     ("C", (2, 3), -2, "full", 21, 0, 21, [21, 102631, 28420, 0, 0, 0, 0]),
@@ -200,6 +257,8 @@ GOLDEN_TALLIES = [
     ("R", (2, 2), 0, "full", 59219, 4526, 29456, [59219, 71853, 0, 0, 0]),
     ("C", (2, 4), 0, "full", 181, 0, 94, [181, 84957, 45934, 0, 0, 0, 0, 0, 0]),
     ("R", (2, 2), 1, "x_state", 100862, 54721, 43416, [100862, 30210, 0, 0, 0]),
+    ("C", (2, 2), 0, "x_state", 52501, 9544, 26169, [52501, 78571, 0, 0, 0]),
+    ("C", (3, 3), 1, "x_state", 84321, 0, 34256, [84321, 46751, 0, 0, 0, 0, 0, 0, 0, 0]),
 ]
 
 

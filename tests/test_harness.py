@@ -243,6 +243,15 @@ def test_experiment_refuses_an_empty_budget_or_bad_streams():
             run_experiment(small_cfg(**overrides))
 
 
+def test_threads_below_one_are_refused_before_the_checkpoint_opens(tmp_path):
+    ckpt = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match="threads 0 must be at least 1"):
+        run_experiment(small_cfg(threads=0, checkpoint=str(ckpt)))
+    assert not ckpt.exists()
+    with pytest.raises(ValueError, match="threads -3 must be at least 1"):
+        estimate_chi_empirical("C", 1, 10, 1000, threads=-3)
+
+
 def test_checkpoint_resume(tmp_path):
     path = tmp_path / "ckpt.jsonl"
     cfg = small_cfg(checkpoint=str(path))
@@ -498,6 +507,10 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "eps must lie in [0, 1]"),
     (["quadrature", "--d", "2", "--k", "1/2", "--epsilon", "0.5"],
      "numeric path requires integer k >= 0"),
+    (["estimate", "--system", "2x2", "--field", "C", "--samples", "10", "--threads", "-3"],
+     "threads -3 must be at least 1"),
+    (["chi-fit", "--field", "C", "--samples", "100", "--threads", "0"],
+     "threads 0 must be at least 1"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main
