@@ -32,14 +32,47 @@ trusted only under this certificate:
   count the reference rule gives.
 
 The tally reads det(rho^PT) > det(rho) only on PPT rows, so ``det_gt``,
-like ``johnston``, is PPT-conditioned and det(rho) is computed only there:
-certified PPT rows run eigvalsh(rho), for the Johnston test and det(rho).
-The reference's det(rho) sits below zero only by rounding, at most
+like ``johnston``, is PPT-conditioned and the spectrum of rho, for the
+Johnston test and det(rho), is computed only there.  The input's dimension
+chooses how: certified PPT rows run eigvalsh(rho), except for n = 4, where
+the spectrum comes from the characteristic quartic (below).  The
+reference's det(rho) sits below zero only by rounding, at most
 ROUNDING (n-1)^(1-n), and PPT rows whose determinants lie within that plus
 DET_TIE_RTOL (relative) of a tie are not certified.  That relative margin
 is a practical one, far above the few-ulp error either determinant
 carries on certified rows, not a worst-case bound.  Every uncertified row
 takes the reference path.
+
+For n = 4 the power sums p_j = tr rho^j, j <= 4, give the coefficients
+e1..e4 of p(x) = det(x - rho) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4 by
+Newton's identities (``_power_sums``: rho^2 from its upper triangle, then
+p3 = Re <rho^2, rho>_F and p4 = ||rho^2||_F^2), and Ferrari's method, its
+resolvent cubic solved by the cosine rule, gives four roots, each then
+polished by one Newton step (``_quartic_spectra``).  A row's spectrum is
+trusted only under this certificate:
+
+* Let p_hat be the computed quartic, evaluated by Horner's rule.  For a
+  state, |rho_ij| <= 1 and |p_j| <= 1, so each computed p_j is within a
+  few tens of u of the exact one, Newton's identities (|e_j| <= 1) keep
+  each e_j within a few hundred u, and Horner's rule adds at most
+  8 u sum |e_j|: |p(x) - p_hat(x)| <= E = CHARPOLY_ERR (~7e4 u) for
+  |x| <= 1, with a wide margin.
+* Each root x_i is bracketed by x_i -/+ delta_i, delta_i = 4E/|p_hat'|
+  at the Newton step, with the ends clipped to [-1, 1].  The row is
+  certified when at every bracket end |p_hat| > E with the sign that four
+  ascending simple roots give a monic quartic, (+, -), (-, +), (+, -),
+  (-, +), and the four brackets are disjoint.  Then p itself changes sign
+  across each bracket, so each holds an eigenvalue of the stored state,
+  and, being four and disjoint, exactly one: the ascending x_i are each
+  within delta_i of the ascending exact spectrum, and LAPACK's within
+  delta_i + ROUNDING of it.
+* Johnston's test is evaluated with every eigenvalue moved by
+  max delta_i + 2 ROUNDING for it, and again against it, as for X-states
+  below; where the two agree the reference agrees with them.
+* det(rho) is e4 = p_hat(0), within E of the exact determinant, and E is
+  added to the tie margin above.
+* Every comparison with a NaN is false, so a row with a non-finite value
+  is uncertified.
 
 States arrive in blocks of ``GRAM_BLOCK``, laid out (n, n, m) with the
 matrix index last, as the sampler writes them (``classify_blocks``); a
@@ -49,8 +82,8 @@ LDL^H buffer, and every elimination step updates the whole block at once.
 Of each block only the certified PPT rows (to the front) and the
 uncertified rows (to the back) are copied out, as matrices, into one
 buffer for all the states.  After the last block, eigvalsh reads the
-buffer's front rows where they lie, and the rows left open feed one
-reference call.
+buffer's front rows where they lie, or for n = 4 the closed form reads
+them a block at a time, and the rows left open feed one reference call.
 
 X-states skip the matrices (``classify_x_states``).  An X-state is a
 direct sum of the 2 x 2 pair blocks [[p_i, z], [conj z, p_j]], j = n-1-i,
@@ -96,12 +129,18 @@ PSD_TOL = 1e-13  # scaled by the (unit) trace
 ROUNDING = 1e-12  # c n u, c <= 100, n <= 64: backward error per unit scale
 CERT_FLOOR = 1e-9  # least certified |eigenvalue| per unit of LDL^H growth
 DET_TIE_RTOL = 1e-8  # closer determinants take the reference path
+CHARPOLY_ERR = 8 * ROUNDING  # E >= |p - p_hat| on [-1, 1], 4 x 4 characteristic quartic
 X_SLICE = 4096  # rows per slice of the closed-form X-state classifier
+
+_IU, _JU = np.triu_indices(4)  # the upper triangle of a 4 x 4 matrix
+_TRI_WEIGHT = np.where(_IU == _JU, 1.0, 2.0)[:, None]  # off the diagonal: entry and mirror
+# the quartic's signs at the (lower, upper) ends of the ascending root brackets
+_BRACKET_SIGN = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])[:, :, None]
 
 
 def _johnston_rows(rho_eigs: np.ndarray, n: int, slack: float = 0.0) -> np.ndarray:
     """Johnston's separability-from-spectrum test for 2 x m states, n = 2m,
-    on rows of ascending LAPACK spectra of the states themselves.
+    on rows of ascending spectra of the states themselves.
 
     True iff lambda_1 < lambda_(n-1) + 2 sqrt(lambda_(n-2) lambda_n) holds
     strictly for the descending eigenvalues.  A nonzero ``slack`` moves every
@@ -115,16 +154,18 @@ def _johnston_rows(rho_eigs: np.ndarray, n: int, slack: float = 0.0) -> np.ndarr
     return lam[:, 0] - slack < lam[:, n - 2] + slack + 2.0 * np.sqrt(prod)
 
 
-def _det_settled(det_pt: np.ndarray, det_rho: np.ndarray, n: int) -> np.ndarray:
+def _det_settled(det_pt: np.ndarray, det_rho: np.ndarray, n: int,
+                 err: float = 0.0) -> np.ndarray:
     """Rows whose determinants lie far enough apart that det(rho^PT) >
     det(rho) reads the same from the reference's LAPACK spectra.
 
     The reference's det(rho) is off by rounding, and dips below zero by at
-    most ROUNDING (n-1)^(1-n); rows closer to a tie take the reference.
+    most ROUNDING (n-1)^(1-n); rows closer to a tie, widened by ``err``, an
+    absolute bound on the error of ``det_rho``, take the reference.
     """
     gap = np.abs(det_pt - det_rho)
     return gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
-                  + ROUNDING * (n - 1.0) ** (1 - n))
+                  + ROUNDING * (n - 1.0) ** (1 - n) + err)
 
 
 def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
@@ -141,6 +182,82 @@ def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarr
         johnston = np.zeros(rhos.shape[0], dtype=bool)
     return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
             "johnston": johnston}
+
+
+def _power_sums(rhos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """tr A^j, j = 1, ..., 4, of a stack of Hermitian 4 x 4 states, shape
+    (m, 4, 4): ||A||_F^2 and A^2 from their upper triangles, then
+    tr A^3 = Re <A^2, A>_F and tr A^4 = ||A^2||_F^2."""
+    m = rhos.shape[0]
+    a = rhos.transpose(1, 2, 0)  # entry index first, a view
+    sq = np.empty((_IU.size, m), dtype=a.dtype)  # (A^2)_ij, i <= j
+    for t, (i, j) in enumerate(zip(_IU, _JU)):
+        np.multiply(a[i, 0], a[0, j], out=sq[t])
+        for k in range(1, 4):
+            sq[t] += a[i, k] * a[k, j]
+
+    def tri_sum(x):  # over the upper triangle, the (re, im) pairs over C
+        return (_TRI_WEIGHT * x).sum(axis=0).reshape(m, -1).sum(axis=1)
+
+    up, fsq = a[_IU, _JU].view(float), sq.view(float)
+    p1 = a[range(4), range(4)].real.sum(axis=0)
+    return p1, tri_sum(np.square(up)), tri_sum(fsq * up), tri_sum(np.square(fsq))
+
+
+def _quartic_spectra(rhos: np.ndarray):
+    """Spectra of a stack of Hermitian 4 x 4 states, shape (m, 4, 4), from
+    their characteristic quartics, with the certificate of the module notes.
+
+    Returns (lam, det, cert, slack): lam of shape (m, 4) ascending; det the
+    quartic's e4, within CHARPOLY_ERR of det(rho); and, on certified rows,
+    each lam within slack - ROUNDING of the exact eigenvalue of the stored
+    state, so within slack of LAPACK's.  Rows are taken ``GRAM_BLOCK`` at
+    a time.
+    """
+    m = rhos.shape[0]
+    lam = np.empty((4, m))
+    det = np.empty(m)
+    cert = np.empty(m, dtype=bool)
+    slack = np.empty(m)
+    for lo in range(0, m, GRAM_BLOCK):
+        s = slice(lo, lo + GRAM_BLOCK)
+        p1, p2, p3, p4 = _power_sums(rhos[s])
+        # Newton's identities: p_hat(x) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4
+        e1 = p1
+        e2 = (e1 * p1 - p2) / 2
+        e3 = (e2 * p1 - e1 * p2 + p3) / 3
+        e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) / 4
+        # Ferrari: x = y + c gives y^4 + P y^2 + Q y + R, whose resolvent cubic
+        # u^3 + 2P u^2 + (P^2 - 4R) u - Q^2 has the roots (y_i + y_j)^2 >= 0,
+        # here from t^3 + pp t + qq, u = t - 2P/3, by the cosine rule
+        c = e1 / 4
+        P = e2 - 6 * c * c
+        Q = 2 * c * e2 - 8 * c**3 - e3
+        R = e4 - c * e3 + c * c * e2 - 3 * c**4
+        pp = -P * P / 3 - 4 * R
+        qq = -2 * P**3 / 27 + 8 * P * R / 3 - Q * Q
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN: uncertified
+            r = np.sqrt(np.maximum(-pp / 3, 0.0))
+            phi = np.arccos(np.clip(-qq / (2 * r**3), -1.0, 1.0)) / 3
+            cos, sin = np.cos(phi), np.sqrt(3.0) * np.sin(phi)
+            u = np.stack((2 * cos, sin - cos, -sin - cos)) * r - 2 * P / 3  # descending
+            big, mid, small = np.sqrt(np.maximum(u, 0.0))
+            small = np.copysign(small, -Q)  # the product of the three is -Q
+            x = np.stack((-big - mid + small, mid - big - small, big - mid - small,
+                          big + mid + small)) / 2 + c  # ascending
+            # one Newton step; the brackets x -/+ 4E/|p_hat'|, inside [-1, 1]
+            f = (((x - e1) * x + e2) * x - e3) * x + e4
+            df = ((4 * x - 3 * e1) * x + 2 * e2) * x - e3
+            x -= f / df
+            half = 4 * CHARPOLY_ERR / np.abs(df)
+            ends = np.clip(np.stack((x - half, x + half)), -1.0, 1.0)
+            f = (((ends - e1) * ends + e2) * ends - e3) * ends + e4
+            ok = (np.all(_BRACKET_SIGN * f > CHARPOLY_ERR, axis=(0, 1))
+                  & np.all(ends[1, :3] < ends[0, 1:], axis=0))
+        # uncertified rows, NaN or infinite ones among them, read 0
+        cert[s], det[s], lam[:, s] = ok, e4, np.where(ok, x, 0.0)
+        slack[s] = np.where(ok, half.max(axis=0) + 2 * ROUNDING, 0.0)
+    return lam.T, det, cert, slack
 
 
 def _block_inertia(blocks, dA: int, dB: int):
@@ -224,13 +341,19 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
     ok = np.ones(front, dtype=bool)
     if front:
         rows = state[:front]
-        rho_eigs = np.linalg.eigvalsh(buf[:front])
-        det_rho = np.prod(rho_eigs, axis=-1)
         det_pt_rows = det_pt[rows]
+        if n == 4:  # certified closed form (see the module notes)
+            rho_eigs, det_rho, ok, slack = _quartic_spectra(buf[:front])
+            ok &= _det_settled(det_pt_rows, det_rho, n, CHARPOLY_ERR)
+        else:
+            rho_eigs = np.linalg.eigvalsh(buf[:front])
+            det_rho, slack = np.prod(rho_eigs, axis=-1), 0.0
+            ok = _det_settled(det_pt_rows, det_rho, n)
         if dA == 2 or dB == 2:
-            johnston[rows] = _johnston_rows(rho_eigs, n)
+            johnston[rows] = _johnston_rows(rho_eigs, n, -slack)
+            if n == 4:
+                ok &= johnston[rows] == _johnston_rows(rho_eigs, n, slack)
         det_gt[rows] = det_pt_rows > det_rho
-        ok = _det_settled(det_pt_rows, det_rho, n)
 
     ref = np.concatenate((np.flatnonzero(~ok), np.arange(back, count)))
     if ref.size:

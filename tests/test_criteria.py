@@ -152,6 +152,12 @@ def reference_rows(monkeypatch):
     ("C", (3, 3), 0, "full", 4096),
     ("R", (2, 2), 1, "x_state", 4096),
     ("R", (2, 3), 1, "x_state", 4096),
+    ("R", (2, 2), -1, "full", 4096),
+    ("C", (2, 2), -1, "full", 4096),
+    ("R", (2, 2), 1, "full", 4096),
+    ("C", (2, 2), 1, "full", 4096),
+    ("R", (2, 2), 2, "full", 4096),
+    ("C", (2, 2), 2, "full", 4096),
 ])
 def test_classify_batch_matches_eigvalsh_reference(field, split, k, family, count,
                                                    reference_rows):
@@ -185,6 +191,101 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
     expected = criteria._classify_eigvalsh(rhos, *split)
     for key, want in expected.items():
         assert np.array_equal(out[key], want), (name, key)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 4 x 4 spectra against the eigvalsh reference
+# ---------------------------------------------------------------------------
+
+_HADAMARD_A = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2))  # local
+_BELL_BASIS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / np.sqrt(2)
+_SINGLET = _pure(np.array([0.0, 1, -1, 0]))
+
+
+def _double_eigenvalue():
+    """Spectrum (0.05, 0.05 + 2^-15, b, b), rotated on the first qubit."""
+    b = (0.9 - 2.0**-15) / 2
+    return _HADAMARD_A @ np.diag([0.05, b, 0.05 + 2.0**-15, b]) @ _HADAMARD_A.T
+
+
+def _tie_within_charpoly_err():
+    """det(rho^PT) - det(rho) = eps^2 (bc - ad) = 4e-12: past the LDL^H
+    path's tie margin, inside it once widened by CHARPOLY_ERR."""
+    rho = np.diag([0.5, 0.3, 0.19999, 1e-5])
+    rho[0, 3] = rho[3, 0] = 8.165e-6
+    return rho
+
+
+def _passes_ldl_certificate(rhos, split):
+    w = rhos.transpose(1, 2, 0)
+    (_, _, neg, _, cert), = criteria._block_inertia([(0, w)], *split)
+    return bool(np.all(cert & (neg == 0)))
+
+
+@pytest.mark.parametrize("name,rho", [
+    ("maximally mixed", np.eye(4) / 4),
+    ("Werner p = 0.2", 0.2 * _SINGLET + 0.8 * np.eye(4) / 4),
+    ("triple eigenvalue", np.diag([0.4, 0.2, 0.2, 0.2])),
+    # brackets that overlap, each with its sign change
+    ("eigenvalues 4.2e-5 apart", np.diag([0.1, 0.2, 0.2 + 4.2e-5, 0.5 - 4.2e-5])),
+    # disjoint brackets with sign changes, |p_hat| <= CHARPOLY_ERR at inner ends
+    ("two pairs 1e-5 apart", np.diag([0.03125, 0.03126, 0.46874, 0.46875])),
+    # disjoint brackets around the two estimates of a double root, no sign change
+    ("double eigenvalue", _double_eigenvalue()),
+])
+def test_degenerate_spectra_take_the_reference_path(name, rho, reference_rows):
+    rhos = np.asarray(rho, dtype=complex)[None]
+    assert _passes_ldl_certificate(rhos, (2, 2)), name
+    assert not criteria._quartic_spectra(rhos)[2][0], name
+    out = classify_batch(rhos, 2, 2)
+    assert reference_rows == [1], name
+    expected = criteria._classify_eigvalsh(rhos, 2, 2)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), (name, key)
+
+
+@pytest.mark.parametrize("name,rho", [
+    # Bell-diagonal, spectrum (0.46875, 0.25, 0.21875, 0.0625):
+    # lambda_1 = lambda_3 + 2 sqrt(lambda_2 lambda_4)
+    ("Johnston equality", _BELL_BASIS @ np.diag([0.46875, 0.25, 0.21875, 0.0625])
+     @ _BELL_BASIS.T),
+    ("determinant tie within CHARPOLY_ERR", _tie_within_charpoly_err()),
+])
+def test_4x4_ties_take_the_reference_path(name, rho, reference_rows):
+    rhos = np.asarray(rho, dtype=complex)[None]
+    assert _passes_ldl_certificate(rhos, (2, 2)), name
+    assert criteria._quartic_spectra(rhos)[2][0], name
+    out = classify_batch(rhos, 2, 2)
+    assert reference_rows == [1], name
+    expected = criteria._classify_eigvalsh(rhos, 2, 2)
+    for key, want in expected.items():
+        assert np.array_equal(out[key], want), (name, key)
+
+
+def test_4x4_spectra_reach_lapack_only_through_the_reference(monkeypatch):
+    calls = []  # per eigvalsh call: whether the reference path made it
+    depth = []
+    eigvalsh, reference = np.linalg.eigvalsh, criteria._classify_eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(bool(depth))
+        return eigvalsh(a, *args, **kwargs)
+
+    def tracked(rhos, dA, dB):
+        depth.append(1)
+        try:
+            return reference(rhos, dA, dB)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(criteria, "_classify_eigvalsh", tracked)
+    spec = SamplerSpec(field="C", n=4, split=(2, 2), k=1, seed=5)
+    rhos = sample_batch(spec, RandomStream(5), 4096)
+    rhos[:2] = np.eye(4) / 4, bell()  # one row for each certificate to refuse
+    out = classify_batch(rhos, 2, 2)
+    assert out["is_ppt"].any()
+    assert calls and all(calls)
 
 
 # ---------------------------------------------------------------------------
