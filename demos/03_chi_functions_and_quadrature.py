@@ -46,7 +46,7 @@ for eta in (-1, -0.5, 0, 1, 2, 3):
     print(f"u({eta:>4}) = {qd.u_eta(eta, chi2):.10f}")
 
 print("\n=== extended master decomposition (sum of 3F2 term + 2D integral) ===")
-print(f"domain convention: {qd.EXTENDED_MASTER_DOMAIN}")
+print("T2 runs over Y in [eps*r14^2, eps*r14], r14 in [0, 1], for every d")
 for e in (0.25, 0.5, 0.75, 1.0):
     t1, t2 = qd.extended_master_parts(2, 0, e)
     print(f"k=0 eps={e:4}: T1={t1:.8f} T2={t2:.8f} "
@@ -55,6 +55,8 @@ for d, k, e in [(2, 1, 0.5), (2, 2, 0.5), (4, 1, 0.7)]:
     got = qd.extended_master(d, k, e)
     print(f"d={d} k={k} eps={e}: T1+T2 = {got:.10f} vs catalog "
           f"{chi_catalog(d, k, e):.10f}")
+got = qd.extended_master(1, 0, 0.5, nodes=400)
+print(f"d=1 k=0 eps=0.5: T1+T2 = {got:.10f} vs master {master_chi(1, 0.5):.10f}")
 
 print("\n=== X-state reduction ===")
 for d in (1, 2, 4):

@@ -40,8 +40,13 @@ reference's det(rho) sits below zero only by rounding, at most
 ROUNDING (n-1)^(1-n), and PPT rows whose determinants lie within that plus
 DET_TIE_RTOL (relative) of a tie are not certified.  That relative margin
 is a practical one, far above the few-ulp error either determinant
-carries on certified rows, not a worst-case bound.  Every uncertified row
-takes the reference path.
+carries on certified rows, not a worst-case bound.  On a split with a
+factor of dimension 1, rho^PT is rho or rho^T = conj(rho); the
+determinants tie exactly, and so do the reference's products, since
+rounding to nearest commutes with conjugation and LAPACK's spectrum of
+conj(rho) is bit for bit that of rho.  det_gt is False there, and no row
+is refused for the tie (``_det_gt``, for both classifiers).  Every
+uncertified row takes the reference path.
 
 For n = 4 the power sums p_j = tr rho^j, j <= 4, give the coefficients
 e1..e4 of p(x) = det(x - rho) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4 by
@@ -103,11 +108,7 @@ trusted only under this certificate:
 * The negative count stands when no partial-transpose eigenvalue lies
   within 2 ROUNDING of -PSD_TOL: each is then on the reference's side of
   the threshold.
-* det_gt takes the LDL^H path's tie rule (``_det_settled``).  On a split
-  with a factor of dimension 1, rho^PT is rho or rho^T = conj(rho); the
-  determinants tie exactly, and so do the reference's products, since
-  rounding to nearest commutes with conjugation and LAPACK's spectrum of
-  conj(rho) is bit for bit that of rho.  det_gt is False there.
+* det_gt takes the LDL^H path's tie rule (``_det_gt``).
 * Johnston's test is evaluated on the sorted closed-form spectrum with
   every eigenvalue moved by 2 ROUNDING for it, and again against it.
   Sorting moves no eigenvalue further than the largest error, and the
@@ -154,18 +155,25 @@ def _johnston_rows(rho_eigs: np.ndarray, n: int, slack: float = 0.0) -> np.ndarr
     return lam[:, 0] - slack < lam[:, n - 2] + slack + 2.0 * np.sqrt(prod)
 
 
-def _det_settled(det_pt: np.ndarray, det_rho: np.ndarray, n: int,
-                 err: float = 0.0) -> np.ndarray:
-    """Rows whose determinants lie far enough apart that det(rho^PT) >
-    det(rho) reads the same from the reference's LAPACK spectra.
+def _det_gt(det_pt: np.ndarray, det_rho: np.ndarray, dA: int, dB: int,
+            err: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """det(rho^PT) > det(rho) per row, and the rows whose determinants lie
+    far enough apart that it reads the same from the reference's LAPACK
+    spectra.
 
     The reference's det(rho) is off by rounding, and dips below zero by at
     most ROUNDING (n-1)^(1-n); rows closer to a tie, widened by ``err``, an
-    absolute bound on the error of ``det_rho``, take the reference.
+    absolute bound on the error of ``det_rho``, take the reference.  On a
+    split with a factor of dimension 1 the determinants tie exactly (see
+    the module notes): det_gt is False and every row is settled.
     """
-    gap = np.abs(det_pt - det_rho)
-    return gap > (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
-                  + ROUNDING * (n - 1.0) ** (1 - n) + err)
+    if min(dA, dB) == 1:
+        gt = np.zeros(det_pt.shape, dtype=bool)
+        return gt, ~gt
+    n = dA * dB
+    margin = (DET_TIE_RTOL * np.maximum(np.abs(det_pt), np.abs(det_rho))
+              + ROUNDING * (n - 1.0) ** (1 - n) + err)
+    return det_pt > det_rho, np.abs(det_pt - det_rho) > margin
 
 
 def _classify_eigvalsh(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
@@ -344,16 +352,16 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
         det_pt_rows = det_pt[rows]
         if n == 4:  # certified closed form (see the module notes)
             rho_eigs, det_rho, ok, slack = _quartic_spectra(buf[:front])
-            ok &= _det_settled(det_pt_rows, det_rho, n, CHARPOLY_ERR)
+            det_gt[rows], settled = _det_gt(det_pt_rows, det_rho, dA, dB, CHARPOLY_ERR)
+            ok &= settled
         else:
             rho_eigs = np.linalg.eigvalsh(buf[:front])
             det_rho, slack = np.prod(rho_eigs, axis=-1), 0.0
-            ok = _det_settled(det_pt_rows, det_rho, n)
+            det_gt[rows], ok = _det_gt(det_pt_rows, det_rho, dA, dB)
         if dA == 2 or dB == 2:
             johnston[rows] = _johnston_rows(rho_eigs, n, -slack)
             if n == 4:
                 ok &= johnston[rows] == _johnston_rows(rho_eigs, n, slack)
-        det_gt[rows] = det_pt_rows > det_rho
 
     ref = np.concatenate((np.flatnonzero(~ok), np.arange(back, count)))
     if ref.size:
@@ -412,9 +420,6 @@ def classify_x_states(diag: np.ndarray, z: np.ndarray, dA: int,
     count, n = diag.shape
     h = n // 2
     src = _x_pair_map(dA, dB)[0]  # |z| alone sets the spectra
-    # a factor of dimension 1: rho^PT is rho or rho^T = conj(rho), with rho's
-    # spectrum, and the determinants tie exactly (see the module notes)
-    trivial = min(dA, dB) == 1
     neg = np.empty(count, dtype=np.intp)
     det_gt = np.zeros(count, dtype=bool)
     johnston = np.zeros(count, dtype=bool)
@@ -434,9 +439,9 @@ def classify_x_states(diag: np.ndarray, z: np.ndarray, dA: int,
         ab, pc = a * b, np.prod(c, axis=0)
         det_pt = np.prod(ab - q_pt, axis=0) * pc
         det_rho = np.prod(ab - q, axis=0) * pc
-        det_gt[s] = ppt & (det_pt > det_rho)
-        if not trivial:
-            ok &= ~ppt | _det_settled(det_pt, det_rho, n)
+        gt, settled = _det_gt(det_pt, det_rho, dA, dB)
+        det_gt[s] = ppt & gt
+        ok &= ~ppt | settled
         if dA == 2 or dB == 2:
             lam = np.sort(rho_eigs.T, axis=1)
             surely = _johnston_rows(lam, n, -2.0 * ROUNDING)

@@ -264,9 +264,7 @@ def master_chi_coefficients(d: int, k: int = 0) -> list[Fraction]:
             * 3F2_reg(-d/2-k, d/2, d; d/2+1, 3d/2+k+1; eps^2).
 
     The series stops after its h + k + 1 terms (h = d/2), which are built
-    from the term ratio.  At k = 0 this is the master formula chi_{d,0}; at
-    every k, half of it is the closed term of the extended master
-    decomposition (``quadrature.extended_master_parts``).
+    from the term ratio.  Half of it is :func:`master_term` for even d.
     """
     if d < 2 or d % 2:
         raise ValueError("terminating master series requires even d >= 2")
@@ -283,40 +281,50 @@ def master_chi_coefficients(d: int, k: int = 0) -> list[Fraction]:
     return coeffs
 
 
-def master_chi(d: int, eps):
-    """Hilbert-Schmidt master formula chi_{d,0}(eps) for positive integer d.
+def master_term(d: int, k: int, eps):
+    """The closed term of chi_{d,k}(eps), for integers d >= 1 and k >= 0:
 
-    Even d terminates and is evaluated from exact coefficients.  Odd d is a
-    convergent infinite series for eps < 1, summed in numpy term blocks by
-    :func:`sepprob.hyper.hyp3f2_reg_series`: pairwise within a block,
-    error-free across blocks, and truncated at the first term whose
-    geometric tail bound is at most float64 unit roundoff times the partial
-    sum (``hyper.SERIES_RTOL``).  It agrees with 50-digit values to about
-    1e-15 relative.  At eps = 1 either series is the well-poised
-    3F2(d, -d/2, d/2; 1 + 3d/2, 1 + d/2; 1), which Dixon's theorem sums to
-    Gamma(1 + d/2)^3 Gamma(1 + 3d/2) / d!^3; with the regularization and
-    the scale d!^3 / Gamma(1 + d/2)^2 that is exactly 1 for every d, and
-    1.0 is returned.
+        eps^d d! (d+k)!^2 / (2 (d/2)! (d/2+k)!)
+            * 3F2_reg(-d/2-k, d/2, d; d/2+1, 3d/2+k+1; eps^2),
+
+    half the master formula taken to order k: the first part of
+    ``quadrature.extended_master_parts``, and at k = 0 half of
+    :func:`master_chi`.  Even d terminates (Horner's rule over
+    :func:`master_chi_coefficients`).  Odd d is summed for eps < 1 by
+    :func:`sepprob.hyper.hyp3f2_reg_series`, to about 1e-15 relative.  At
+    eps = 1 the series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2,
+    1 + 3d/2 + k; 1), which Dixon's theorem sums so that the term is
+    exactly 1/2 for every (d, k).
+
+    Accepts scalar or ndarray eps; returns the same shape.
     """
     d = _require_int("d", d)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    k = _require_int("k", k)
+    if d < 1 or k < 0:
+        raise ValueError("requires d >= 1 and k >= 0")
     eps_arr = np.asarray(eps, dtype=float)
     scalar = np.isscalar(eps) or eps_arr.ndim == 0
     if np.any((eps_arr < 0) | (eps_arr > 1)):
         raise ValueError("eps must lie in [0, 1]")
-    out = np.ones_like(eps_arr)  # Dixon's sum at eps = 1
+    out = np.full_like(eps_arr, 0.5)  # Dixon's sum at eps = 1
     below = eps_arr < 1.0
     e = eps_arr[below]
     e2 = e * e
     if d % 2 == 0:
         acc = np.zeros_like(e2)
-        for c in reversed(master_chi_coefficients(d)):
-            acc = acc * e2 + float(c)
+        for c in reversed(master_chi_coefficients(d, k)):
+            acc = acc * e2 + float(c / 2)
         out[below] = e ** d * acc
-    elif e.size:
-        a = (-d / 2, d / 2, float(d))
-        b = (d / 2 + 1, 3 * d / 2 + 1)
-        scale = math.factorial(d) ** 3 / math.gamma(d / 2 + 1) ** 2
+    else:
+        a = (-d / 2 - k, d / 2, float(d))
+        b = (d / 2 + 1, 3 * d / 2 + k + 1)
+        scale = (math.factorial(d) * math.factorial(d + k) ** 2
+                 / (2 * math.gamma(d / 2 + 1) * math.gamma(d / 2 + k + 1)))
         out[below] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
     return float(out) if scalar else out
+
+
+def master_chi(d: int, eps):
+    """Hilbert-Schmidt master formula chi_{d,0}(eps) for positive integer d:
+    twice :func:`master_term` at k = 0, so exactly 1 at eps = 1."""
+    return 2 * master_term(d, 0, eps)

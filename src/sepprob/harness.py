@@ -37,6 +37,7 @@ from scipy.special import betaincinv, ndtri
 from .criteria import classify_blocks, classify_x_states
 from .exactmath import CatalogMiss, chi_catalog, is_prime
 from .linalg import epsilon_ratio_batch_2x2
+from .quadrature import chi_numeric
 from .sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, _x_state_draws, sample_blocks
 
 CHUNK_SAMPLES = 65_536
@@ -408,9 +409,10 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
                            seed: int = 0, streams: int = 8, threads: int = 1) -> dict:
     """Binned conditional PPT rate vs the singular-value ratio, for 2x2.
 
-    Returns per-bin totals, rates, confidence intervals, the catalog
-    reference (complex field only; the real-field closed forms are not in
-    the catalog) and residuals.  Bins partition (0, 1] uniformly.
+    Returns per-bin totals, rates, confidence intervals, the reference
+    chi at the bin midpoint and residuals.  The reference is the catalog's
+    where it has one, else ``chi_numeric``'s for k >= 0 (the real field,
+    d = 1), else NaN.  Bins partition (0, 1] uniformly.
     """
     if bins < 10:
         raise ValueError("need at least 10 bins")
@@ -436,7 +438,7 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
         try:
             ref = chi_catalog(d, k, mid)
         except CatalogMiss:
-            ref = float("nan")
+            ref = chi_numeric(d, k, mid) if k >= 0 else float("nan")
         rows.append({
             "bin_lo": lo_edge, "bin_hi": hi_edge, "n": nb, "rate": rate,
             "ci_lo": ci[0], "ci_hi": ci[1], "chi_ref": ref,

@@ -1,10 +1,10 @@
-"""The regularized 3F2 series of the odd-d master formula, in float64.
+"""The regularized 3F2 series of the odd-d closed term, in float64.
 
-The series does not terminate for odd division-ring dimension d, so it is
-summed over an array of arguments in [0, 1).  The z = 1 endpoint the master
-formula needs has a closed form (Dixon's theorem; see
-:func:`sepprob.exactmath.master_chi`); the terminating even-d series has
-exact coefficients (:func:`sepprob.exactmath.master_chi_coefficients`).
+:func:`sepprob.exactmath.formulas.master_term`, the master formula taken
+to order k, does not terminate for odd division-ring dimension d, so its
+series is summed over an array of arguments in [0, 1).  Its z = 1 endpoint
+has a closed form (Dixon's theorem); the terminating even-d series has
+exact coefficients (``master_chi_coefficients``).
 
 The series is summed a block of terms per numpy step, not a term per
 Python step.  Inside a block a cumulative product of ratio*z gives the
@@ -40,7 +40,8 @@ and by the convexity of 1/x, 1/(N-2h) + 1/(N+h) >= 2/(N-h/2) > 2/N, so the
 sum exceeds (2h+3)/N = p/N >= p log(1 + 1/N) = -log((N/(N+1))^p).  So from
 a term t_m past the root on, t_(m+j) <= t_m ((m+c)/(m+c+j))^p, and summing
 under the integral of x^-p bounds the tail after t_m by
-|t_m| (m + c)/(p - 1).  Other parameters keep the geometric bound alone.
+|t_m| (m + c)/(p - 1).  Other parameters, the order k >= 1 terms among
+them, keep the geometric bound alone.
 """
 
 from __future__ import annotations

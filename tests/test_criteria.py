@@ -158,6 +158,12 @@ def reference_rows(monkeypatch):
     ("C", (2, 2), 1, "full", 4096),
     ("R", (2, 2), 2, "full", 4096),
     ("C", (2, 2), 2, "full", 4096),
+    ("R", (1, 4), 0, "full", 4096),
+    ("C", (1, 4), 0, "full", 4096),
+    ("R", (4, 1), 0, "full", 4096),
+    ("C", (4, 1), 0, "full", 4096),
+    ("R", (1, 6), 0, "full", 4096),
+    ("C", (1, 6), 0, "full", 4096),
 ])
 def test_classify_batch_matches_eigvalsh_reference(field, split, k, family, count,
                                                    reference_rows):

@@ -25,7 +25,7 @@ from sepprob.exactmath import (
     volume_hs,
     volume_lebesgue,
 )
-from sepprob.exactmath.formulas import master_chi_coefficients
+from sepprob.exactmath.formulas import master_chi_coefficients, master_term
 
 # ---------------------------------------------------------------------------
 # volumes
@@ -300,6 +300,25 @@ def test_master_chi_odd_array_equals_scalar_calls():
         assert np.array_equal(whole, one_by_one)
         grid = eps[:eps.size // 5 * 5].reshape(-1, 5)
         assert np.array_equal(master_chi(d, grid), whole[:grid.size].reshape(-1, 5))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_master_term_odd_d_matches_mpmath_3f2(d, k):
+    # the non-terminating order-k series against mpmath's 3F2 at 50 digits,
+    # and Dixon's 1/2 at eps = 1
+    with mpmath.workdps(50):
+        h = mpmath.mpf(d) / 2
+        scale = (math.factorial(d) * math.factorial(d + k) ** 2
+                 / (2 * mpmath.gamma(h + 1) * mpmath.gamma(h + k + 1)
+                    * mpmath.gamma(h + 1) * mpmath.gamma(3 * h + k + 1)))
+        for eps in (0.3, 0.7, 0.95, 0.99, 1.0):
+            e = mpmath.mpf(eps)
+            ref = e ** d * scale * mpmath.hyp3f2(-h - k, h, d, h + 1, 3 * h + k + 1, e * e)
+            got = master_term(d, k, eps)
+            assert abs(got - ref) <= 1e-15 * ref, (eps, got, ref)
+    assert master_term(d, k, 1.0) == 0.5
+    assert np.array_equal(master_term(d, k, np.array([0.0, 1.0])), [0.0, 0.5])
 
 
 def test_master_chi_rejects_bad_eps():

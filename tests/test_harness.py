@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -395,6 +396,29 @@ def test_estimate_chi_empirical_shape_and_edges():
     for r in rows:
         if r["n"] > 5000:
             assert abs(r["residual"]) < 0.05
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_estimate_chi_empirical_real_field_reference(k):
+    # chi_{1,k} from chi_numeric at the bin midpoints; 20 bins keep the
+    # midpoint's own bias well inside the band, which is a two-sided 4-sigma
+    # check Bonferroni-corrected over the bins with >= 10 hits and misses
+    table = estimate_chi_empirical("R", k, 20, 131_072, seed=4242, streams=2)
+    z = []
+    for r in table["rows"]:
+        n, ref = r["n"], r["chi_ref"]
+        assert math.isfinite(ref)
+        if n * ref >= 10 and n * (1.0 - ref) >= 10:
+            z.append(abs(r["residual"]) / math.sqrt(ref * (1.0 - ref) / n))
+    normal = statistics.NormalDist()
+    band = normal.inv_cdf(1.0 - normal.cdf(-4.0) / len(z))
+    assert len(z) >= 15
+    assert max(z) < band, (max(z), band)
+
+
+def test_estimate_chi_empirical_negative_k_has_no_reference():
+    table = estimate_chi_empirical("R", -1, 10, 2000, seed=1, streams=1)
+    assert all(math.isnan(r["chi_ref"]) for r in table["rows"])
 
 
 def test_estimate_chi_empirical_validation():

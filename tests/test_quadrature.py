@@ -154,23 +154,41 @@ def test_extended_master_reproduces_chi(d, k):
         assert qd.extended_master(d, k, float(eps)) == pytest.approx(ref, abs=1e-6)
 
 
+def _region_a(d, k, eps, nodes=400):
+    """chi_{d,k}'s normalised integral over region A, r23 in [0, eps r14],
+    where the state's own constraint binds, by tensor Gauss-Legendre: the
+    oracle of the closed term T1.  The innermost coordinate is integrated
+    in closed form; odd d leaves a half power in the integrand."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t, wt = (x + 1.0) / 2.0, w / 2.0
+    r, c = t[:, None], t[None, :]
+    rt = eps * r * c
+    a = (1.0 - r * r) * (1.0 - rt * rt)
+    ca = math.gamma(d / 2) * math.gamma(k + 1) / (2.0 * math.gamma(d / 2 + k + 1))
+    num = np.sum(wt[:, None] * wt[None, :]
+                 * (r * rt) ** (d - 1) * ca * a ** (k + d / 2) * (eps * r))
+    norm = (math.gamma(d / 2) ** 3 * math.gamma(k + 1) * math.gamma(d / 2 + k + 1)
+            / (8.0 * math.gamma(d + k + 1) ** 2))
+    return float(num) / norm
+
+
 def test_extended_master_t1_is_the_closed_form_of_region_a():
-    # chi_numeric sums region A and the PT region; extended_master_parts
-    # sums T1 (region A in closed form) and the same PT-region integral
-    for d in (2, 4, 6):
+    # the half-power integrands of (d, k) = (1, 0) and (3, 0) leave the
+    # oracle, not the closed term, the inaccurate side
+    loose = {(1, 0): 1e-8, (3, 0): 1e-12}
+    for d in range(1, 7):
         for k in range(5):
             for eps in (0.1, 0.37, 0.83, 1.0):
-                parts = qd.extended_master_parts(d, k, eps, 80)
-                assert sum(parts) == pytest.approx(
-                    qd.chi_numeric(d, k, eps, nodes=80), rel=1e-12, abs=1e-12)
+                t1 = qd.extended_master_parts(d, k, eps)[0]
+                assert t1 == pytest.approx(_region_a(d, k, eps),
+                                           abs=loose.get((d, k), 1e-13)), (d, k, eps)
 
 
-def test_extended_master_rejects_odd_d():
-    with pytest.raises(ValueError):
-        qd.extended_master(1, 0, 0.5)
-    with pytest.raises(ValueError):
-        qd.extended_master(2, 0, 0.0)
-
-
-def test_extended_master_domain_metadata():
-    assert "eps*r14^2" in qd.EXTENDED_MASTER_DOMAIN
+def test_extended_master_accepts_odd_d_and_refuses_bad_input():
+    for eps in (0.3, 0.5, 0.8):
+        assert qd.extended_master(1, 0, eps) == pytest.approx(master_chi(1, eps), abs=1e-6)
+    assert qd.extended_master(1, 2, 0.5) > qd.extended_master(1, 1, 0.5)
+    assert qd.extended_master(2, 0, 0.0) == 0.0
+    for d, k, eps in [(2, -1, 0.5), (2, 0.5, 0.5), (2, 0, 1.5), (2, 0, -0.1), (0, 0, 0.5)]:
+        with pytest.raises(ValueError):
+            qd.extended_master(d, k, eps)
