@@ -90,6 +90,11 @@ buffer for all the states.  After the last block, eigvalsh reads the
 buffer's front rows where they lie, or for n = 4 the closed form reads
 them a block at a time, and the rows left open feed one reference call.
 
+A ``run_experiment`` chunk tallies every verdict and runs every stage
+above (``classify_blocks``).  A chi-fit chunk reads only is_ppt, so it runs
+the LDL^H inertia alone (``ppt_blocks``): only the uncertified rows are
+copied out, into one reference call.  X-state chunks run neither (below).
+
 X-states skip the matrices (``classify_x_states``).  An X-state is a
 direct sum of the 2 x 2 pair blocks [[p_i, z], [conj z, p_j]], j = n-1-i,
 and of the centre p_c of odd n.  Its partial transpose is another such sum
@@ -373,6 +378,23 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
         johnston[rows] = out["johnston"]
     return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
             "johnston": johnston}
+
+
+def ppt_blocks(blocks, count: int, dA: int, dB: int) -> np.ndarray:
+    """The is_ppt verdicts of :func:`classify_blocks` for the same blocks,
+    from the pivot counts alone; uncertified rows take the reference path."""
+    is_ppt = np.empty(count, dtype=bool)
+    state, mats = [], []  # each block's uncertified rows, and their matrices
+    for lo, w, neg, _det, cert in _block_inertia(blocks, dA, dB):
+        is_ppt[lo:lo + w.shape[-1]] = neg == 0
+        rows = np.flatnonzero(~cert)
+        if rows.size:
+            state.append(lo + rows)
+            mats.append(w[:, :, rows].transpose(2, 0, 1))
+    if state:
+        out = _classify_eigvalsh(np.concatenate(mats), dA, dB)
+        is_ppt[np.concatenate(state)] = out["is_ppt"]
+    return is_ppt
 
 
 def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 from scipy.special import betaincinv, ndtri
 
-from .criteria import classify_blocks, classify_x_states
+from .criteria import classify_blocks, classify_x_states, ppt_blocks
 from .exactmath import CatalogMiss, chi_catalog, is_prime
 from .linalg import epsilon_ratio_batch_2x2
 from .quadrature import chi_numeric
@@ -391,11 +391,11 @@ def _chifit_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
             eps[lo:lo + w.shape[-1]] = epsilon_ratio_batch_2x2(w.transpose(2, 0, 1))
             yield lo, w
 
-    out = classify_blocks(blocks(), count, 2, 2)
+    is_ppt = ppt_blocks(blocks(), count, 2, 2)
     good = np.isfinite(eps)
     idx = np.minimum((eps[good] * bins).astype(int), bins - 1)
     totals = np.bincount(idx, minlength=bins)
-    hits = np.bincount(idx[out["is_ppt"][good]], minlength=bins)
+    hits = np.bincount(idx[is_ppt[good]], minlength=bins)
     return {
         "stream_id": stream_id,
         "chunk_index": chunk_index,
@@ -412,7 +412,8 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     Returns per-bin totals, rates, confidence intervals, the reference
     chi at the bin midpoint and residuals.  The reference is the catalog's
     where it has one, else ``chi_numeric``'s for k >= 0 (the real field,
-    d = 1), else NaN.  Bins partition (0, 1] uniformly.
+    d = 1), else NaN.  Bin i of b holds eps in [i/b, (i+1)/b); the last
+    bin also holds eps = 1.
     """
     if bins < 10:
         raise ValueError("need at least 10 bins")

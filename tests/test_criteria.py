@@ -127,8 +127,8 @@ def test_johnston_implies_ppt_bulk():
 
 @pytest.fixture
 def reference_rows(monkeypatch):
-    """Counts the rows each classify_batch or classify_x_states call sends
-    to the reference path."""
+    """Counts the rows each classify_batch, classify_x_states or ppt_blocks
+    call sends to the reference path."""
     seen = []
     reference = criteria._classify_eigvalsh
 
@@ -197,6 +197,30 @@ def test_edge_states_take_the_reference_path(name, rho, split, reference_rows):
     expected = criteria._classify_eigvalsh(rhos, *split)
     for key, want in expected.items():
         assert np.array_equal(out[key], want), (name, key)
+
+
+@pytest.mark.parametrize("field,k", [("R", 0), ("R", 1), ("C", 0), ("C", 1)])
+def test_ppt_blocks_matches_the_reference(field, k, reference_rows):
+    spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=78)
+    sampled = sample_batch(spec, RandomStream(78), 2000)
+    # |00><00|, the Bell state and the singlet, which the certificate refuses,
+    # and I/4, which it settles (the 4 x 4 closed form refuses I/4)
+    edge = np.array([np.diag([1.0, 0, 0, 0]), bell(), _pure(np.array([0.0, 1, -1, 0])),
+                     np.eye(4) / 4], dtype=sampled.dtype)
+    rhos = np.concatenate((edge, sampled, edge))  # edge rows in the first and last block
+    blocks = [(lo, rhos[lo:lo + 1024].transpose(1, 2, 0)) for lo in range(0, rhos.shape[0], 1024)]
+    inertia = list(criteria._block_inertia(blocks, 2, 2))
+    neg = np.concatenate([row[2] for row in inertia])
+    cert = np.concatenate([row[4] for row in inertia])
+    assert not cert[[0, 1, 2, -4, -3, -2]].any() and cert[[3, -1]].all()
+    # the pivots alone call the singlet PPT (NaN pivots), so the fallback decides it
+    assert neg[2] == 0
+    reference_rows.clear()
+    out = criteria.ppt_blocks(iter(blocks), rhos.shape[0], 2, 2)
+    assert reference_rows == [np.count_nonzero(~cert)]  # one call, the uncertified rows
+    assert np.array_equal(out, criteria._classify_eigvalsh(rhos, 2, 2)["is_ppt"])
+    assert np.array_equal(out, classify_batch(rhos, 2, 2)["is_ppt"])
+    assert list(out[:4]) == [True, False, False, True]
 
 
 # ---------------------------------------------------------------------------
