@@ -37,6 +37,8 @@ from .harness import (
 )
 from .sampling import SamplerSpec
 
+EPS_GRID_CAP = 10_000  # points of one --eps-grid, a quadrature each
+
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
@@ -156,16 +158,15 @@ def _cmd_chi_fit(args) -> None:
 
 
 def _eps_grid(text: str) -> list[float]:
-    """The values of an --eps-grid lo:hi:step, refusing an endless grid."""
+    """The values lo + i step <= hi (within 1e-12) of an --eps-grid
+    lo:hi:step, refusing an endless grid or one of more than EPS_GRID_CAP
+    points."""
     lo, hi, step = (float(x) for x in text.split(":"))
-    if not (step > 0 and lo <= hi):
-        raise argparse.ArgumentTypeError(f"{text}: need lo <= hi and step > 0")
-    vals = []
-    e = lo
-    while e <= hi + 1e-12:
-        vals.append(round(e, 12))
-        e += step
-    return vals
+    last = (hi - lo + 1e-12) / step if step > 0 and lo <= hi else float("nan")
+    if not last < EPS_GRID_CAP:  # NaN and infinity included
+        raise argparse.ArgumentTypeError(
+            f"{text}: need lo <= hi, step > 0 and at most {EPS_GRID_CAP} points")
+    return [round(lo + i * step, 12) for i in range(int(last) + 1)]
 
 
 def _cmd_quadrature(args) -> None:

@@ -84,11 +84,12 @@ matrix index last, as the sampler writes them (``classify_blocks``); a
 (count, n, n) stack is read through transposed views of its blocks
 (``classify_batch``).  Each block's partial transpose is written into the
 LDL^H buffer, and every elimination step updates the whole block at once.
-Of each block only the certified PPT rows (to the front) and the
-uncertified rows (to the back) are copied out, as matrices, into one
-buffer for all the states.  After the last block, eigvalsh reads the
-buffer's front rows where they lie, or for n = 4 the closed form reads
-them a block at a time, and the rows left open feed one reference call.
+Of each block only the certified PPT rows and the uncertified rows are
+copied out, a copy of each per block (``_gather``).  After the last block
+the PPT copies are joined into one stack for eigvalsh, or for n = 4 the
+closed form.  The rows a certificate leaves open, in any of the three
+classifiers, go to one reference call, whose verdicts replace the fast
+path's there (``_settle``).
 
 A ``run_experiment`` chunk tallies every verdict and runs every stage
 above (``classify_blocks``).  A chi-fit chunk reads only is_ppt, so it runs
@@ -122,7 +123,7 @@ trusted only under this certificate:
 
 Rows are classified ``X_SLICE`` at a time, laid out with the entry index
 first so that the reductions over a row's entries run along the slice.
-Every uncertified row is assembled and takes the reference path.
+Only the uncertified rows of a slice are assembled, for the reference.
 """
 from __future__ import annotations
 
@@ -316,6 +317,27 @@ def _block_inertia(blocks, dA: int, dB: int):
         yield lo, w, np.count_nonzero(piv < 0, axis=0), det, cert
 
 
+def _gather(parts: list, lo: int, w: np.ndarray, mask: np.ndarray) -> None:
+    """Append to ``parts`` the rows i of block w, shape (n, n, m), where
+    ``mask``, if any: their states lo + i and a (rows, n, n) copy of them,
+    which outlives the block."""
+    rows = np.flatnonzero(mask)
+    if rows.size:
+        parts.append((lo + rows, w[:, :, rows].transpose(2, 0, 1)))
+
+
+def _settle(out: dict, parts: list, dA: int, dB: int) -> dict:
+    """Overwrite ``out``'s verdicts with the reference's on the rows no
+    certificate settled, given as (states, matrices) parts, a block at a
+    time; one eigvalsh reference call covers them all."""
+    if parts:
+        states, mats = map(np.concatenate, zip(*parts))
+        ref = _classify_eigvalsh(mats, dA, dB)
+        for key, verdict in out.items():
+            verdict[states] = ref[key]
+    return out
+
+
 def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarray]:
     """Verdicts for ``count`` states given as (lo, w) blocks (the Monte Carlo
     hot path), w of shape (n, n, m) holding states lo, ..., lo + m - 1.
@@ -330,71 +352,46 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
     n = dA * dB
     neg = np.empty(count, dtype=np.intp)
     det_pt = np.empty(count)
-    cert = np.empty(count, dtype=bool)
-    buf = None  # (count, n, n), touched only as far as rows are copied in
-    state = np.empty(count, dtype=np.intp)  # the state held by each buffer row
-    front, back = 0, count
-    for lo, w, *inertia in _block_inertia(blocks, dA, dB):
+    ppt, open_rows = [], []  # the certified PPT rows, and the uncertified ones
+    for lo, w, neg_w, det_w, cert in _block_inertia(blocks, dA, dB):
         blk = slice(lo, lo + w.shape[-1])
-        neg[blk], det_pt[blk], cert[blk] = inertia
-        if buf is None:
-            buf = np.empty((count, n, n), dtype=w.dtype)
-        rows = np.flatnonzero(cert[blk] & (neg[blk] == 0))
-        buf[front:front + rows.size] = w[:, :, rows].transpose(2, 0, 1)
-        state[front:front + rows.size] = lo + rows
-        front += rows.size
-        rows = np.flatnonzero(~cert[blk])
-        buf[back - rows.size:back] = w[:, :, rows].transpose(2, 0, 1)
-        state[back - rows.size:back] = lo + rows
-        back -= rows.size
+        neg[blk], det_pt[blk] = neg_w, det_w
+        _gather(ppt, lo, w, cert & (neg_w == 0))
+        _gather(open_rows, lo, w, ~cert)
 
-    is_ppt = neg == 0
     det_gt = np.zeros(count, dtype=bool)
     johnston = np.zeros(count, dtype=bool)
-    ok = np.ones(front, dtype=bool)
-    if front:
-        rows = state[:front]
+    if ppt:
+        rows, mats = map(np.concatenate, zip(*ppt))
+        del ppt  # the per-block copies, now joined
         det_pt_rows = det_pt[rows]
         if n == 4:  # certified closed form (see the module notes)
-            rho_eigs, det_rho, ok, slack = _quartic_spectra(buf[:front])
+            rho_eigs, det_rho, ok, slack = _quartic_spectra(mats)
             det_gt[rows], settled = _det_gt(det_pt_rows, det_rho, dA, dB, CHARPOLY_ERR)
             ok &= settled
         else:
-            rho_eigs = np.linalg.eigvalsh(buf[:front])
+            rho_eigs = np.linalg.eigvalsh(mats)
             det_rho, slack = np.prod(rho_eigs, axis=-1), 0.0
             det_gt[rows], ok = _det_gt(det_pt_rows, det_rho, dA, dB)
         if dA == 2 or dB == 2:
             johnston[rows] = _johnston_rows(rho_eigs, n, -slack)
             if n == 4:
                 ok &= johnston[rows] == _johnston_rows(rho_eigs, n, slack)
-
-    ref = np.concatenate((np.flatnonzero(~ok), np.arange(back, count)))
-    if ref.size:
-        rows = state[ref]
-        out = _classify_eigvalsh(buf[ref], dA, dB)
-        neg[rows] = out["neg_pt_eigs"]
-        is_ppt[rows] = out["is_ppt"]
-        det_gt[rows] = out["det_gt"]
-        johnston[rows] = out["johnston"]
-    return {"is_ppt": is_ppt, "neg_pt_eigs": neg, "det_gt": det_gt,
-            "johnston": johnston}
+        if not ok.all():
+            open_rows.append((rows[~ok], mats[~ok]))
+    out = {"is_ppt": neg == 0, "neg_pt_eigs": neg, "det_gt": det_gt, "johnston": johnston}
+    return _settle(out, open_rows, dA, dB)
 
 
 def ppt_blocks(blocks, count: int, dA: int, dB: int) -> np.ndarray:
     """The is_ppt verdicts of :func:`classify_blocks` for the same blocks,
     from the pivot counts alone; uncertified rows take the reference path."""
     is_ppt = np.empty(count, dtype=bool)
-    state, mats = [], []  # each block's uncertified rows, and their matrices
+    open_rows = []
     for lo, w, neg, _det, cert in _block_inertia(blocks, dA, dB):
         is_ppt[lo:lo + w.shape[-1]] = neg == 0
-        rows = np.flatnonzero(~cert)
-        if rows.size:
-            state.append(lo + rows)
-            mats.append(w[:, :, rows].transpose(2, 0, 1))
-    if state:
-        out = _classify_eigvalsh(np.concatenate(mats), dA, dB)
-        is_ppt[np.concatenate(state)] = out["is_ppt"]
-    return is_ppt
+        _gather(open_rows, lo, w, ~cert)
+    return _settle({"is_ppt": is_ppt}, open_rows, dA, dB)["is_ppt"]
 
 
 def classify_batch(rhos: np.ndarray, dA: int, dB: int) -> dict[str, np.ndarray]:
@@ -445,7 +442,7 @@ def classify_x_states(diag: np.ndarray, z: np.ndarray, dA: int,
     neg = np.empty(count, dtype=np.intp)
     det_gt = np.zeros(count, dtype=bool)
     johnston = np.zeros(count, dtype=bool)
-    cert = np.empty(count, dtype=bool)
+    open_rows = []
     for lo in range(0, count, X_SLICE):
         s = slice(lo, lo + X_SLICE)
         d = diag[s].T.copy()  # entry index first
@@ -469,13 +466,9 @@ def classify_x_states(diag: np.ndarray, z: np.ndarray, dA: int,
             surely = _johnston_rows(lam, n, -2.0 * ROUNDING)
             johnston[s] = ppt & surely
             ok &= ~ppt | (surely == _johnston_rows(lam, n, 2.0 * ROUNDING))
-        cert[s] = ok
+        rows = lo + np.flatnonzero(~ok)
+        if rows.size:
+            open_rows.append((rows, _x_state_matrices(diag[rows], z[rows])))
 
-    ref = np.flatnonzero(~cert)
-    if ref.size:
-        out = _classify_eigvalsh(_x_state_matrices(diag[ref], z[ref]), dA, dB)
-        neg[ref] = out["neg_pt_eigs"]
-        det_gt[ref] = out["det_gt"]
-        johnston[ref] = out["johnston"]
-    return {"is_ppt": neg == 0, "neg_pt_eigs": neg, "det_gt": det_gt,
-            "johnston": johnston}
+    out = {"is_ppt": neg == 0, "neg_pt_eigs": neg, "det_gt": det_gt, "johnston": johnston}
+    return _settle(out, open_rows, dA, dB)

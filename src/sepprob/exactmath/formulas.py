@@ -217,6 +217,15 @@ def u_closed(eta, dps: int = 50) -> mpmath.mpf:
 # the chi-function catalog and the master formula
 # ---------------------------------------------------------------------------
 
+def _eps_domain(eps) -> tuple[np.ndarray, bool]:
+    """eps as a float array, and whether it was given as a scalar; refuses
+    any eps outside [0, 1], NaN included."""
+    eps_arr = np.asarray(eps, dtype=float)
+    if not np.all((eps_arr >= 0) & (eps_arr <= 1)):
+        raise ValueError("eps must lie in [0, 1]")
+    return eps_arr, np.isscalar(eps) or eps_arr.ndim == 0
+
+
 def chi_catalog(d: int, k, eps, family: str = "full"):
     """Closed-form separability function chi_{d,k}(eps).
 
@@ -226,12 +235,9 @@ def chi_catalog(d: int, k, eps, family: str = "full"):
     signal that the numeric constrained integration must be used.
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
-    outside [0, 1] with ValueError.
+    outside [0, 1], NaN included, with ValueError.
     """
-    eps_arr = np.asarray(eps, dtype=float)
-    scalar = np.isscalar(eps) or eps_arr.ndim == 0
-    if np.any((eps_arr < 0) | (eps_arr > 1)):
-        raise ValueError("eps must lie in [0, 1]")
+    eps_arr, scalar = _eps_domain(eps)
     if family == "xstate":
         out = eps_arr ** d
         return float(out) if scalar else out
@@ -296,16 +302,14 @@ def master_term(d: int, k: int, eps):
     1 + 3d/2 + k; 1), which Dixon's theorem sums so that the term is
     exactly 1/2 for every (d, k).
 
-    Accepts scalar or ndarray eps; returns the same shape.
+    Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
+    outside [0, 1], NaN included, with ValueError.
     """
     d = _require_int("d", d)
     k = _require_int("k", k)
     if d < 1 or k < 0:
         raise ValueError("requires d >= 1 and k >= 0")
-    eps_arr = np.asarray(eps, dtype=float)
-    scalar = np.isscalar(eps) or eps_arr.ndim == 0
-    if np.any((eps_arr < 0) | (eps_arr > 1)):
-        raise ValueError("eps must lie in [0, 1]")
+    eps_arr, scalar = _eps_domain(eps)
     out = np.full_like(eps_arr, 0.5)  # Dixon's sum at eps = 1
     below = eps_arr < 1.0
     e = eps_arr[below]

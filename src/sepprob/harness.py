@@ -166,21 +166,13 @@ def _chunk_grid(total: int, streams: int) -> list[tuple[int, int, int]]:
     return grid
 
 
-def _chunk_blocks(spec: SamplerSpec, stream_id: int, chunk_index: int, count: int):
-    """The chunk's states as :func:`sample_blocks` yields them, from its own
-    Philox stream."""
-    stream = RandomStream(spec.seed, stream_id, chunk_index)
-    return sample_blocks(spec, stream, count)
-
-
 def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
                       count: int) -> dict:
+    stream = RandomStream(spec.seed, stream_id, chunk_index)
     if spec.family == "x_state":  # closed form from the draws, no matrices
-        stream = RandomStream(spec.seed, stream_id, chunk_index)
         out = classify_x_states(*_x_state_draws(spec, stream, count), *spec.split)
     else:
-        out = classify_blocks(_chunk_blocks(spec, stream_id, chunk_index, count),
-                              count, *spec.split)
+        out = classify_blocks(sample_blocks(spec, stream, count), count, *spec.split)
     hist = np.bincount(out["neg_pt_eigs"], minlength=spec.n + 1)
     return {
         "stream_id": stream_id,
@@ -224,6 +216,21 @@ def _checkpoint_fingerprint(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _is_chunk_row(row, n: int) -> bool:
+    """Whether a parsed checkpoint line is an experiment chunk row for n x n
+    states: nonnegative integer keys and counts, and n + 1 histogram bins,
+    bin 0 holding the PPT hits, of which the Johnston and det_gt hits are a
+    part."""
+    counts = ("stream_id", "chunk_index", "samples", "ppt_hits", "johnston_hits",
+              "det_gt_hits_given_ppt")
+    hist = row.get("neg_eig_histogram") if isinstance(row, dict) else None
+    if not (isinstance(hist, list) and len(hist) == n + 1):
+        return False
+    return (all(type(v) is int and v >= 0 for v in hist + [row.get(key) for key in counts])
+            and hist[0] == row["ppt_hits"] >= max(row["johnston_hits"],
+                                                   row["det_gt_hits_given_ppt"]))
+
+
 def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict]:
     """Completed chunk rows keyed by (stream_id, chunk_index).
 
@@ -232,11 +239,13 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
     ``fingerprint`` raises ``ValueError``.  An unparsable last line, as a
     crash mid-write leaves it, is dropped with a warning and cut from the
     file, so that the next line appended starts on a line of its own.  An
-    unparsable line anywhere else raises.
+    unparsable line anywhere else raises, and so, once the header matches,
+    does a line that is not a chunk row of this system.
     """
     done = {}
     if not os.path.exists(path):
         return done
+    rows = {}  # by line number
     with open(path, "rb+") as fh:
         lines = fh.readlines()
         header = None
@@ -254,7 +263,7 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
                 if header is None:
                     header = row
                 else:
-                    done[(row["stream_id"], row["chunk_index"])] = row
+                    rows[i + 1] = row
             complete += len(line)
         else:
             if lines and not lines[-1].endswith(b"\n"):
@@ -269,6 +278,11 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
     if diffs:
         raise ValueError(f"checkpoint {path} was written for another config or "
                          f"chunk grid: {'; '.join(diffs)}")
+    n = math.prod(fingerprint["split"])
+    for line_no, row in rows.items():
+        if not _is_chunk_row(row, n):
+            raise ValueError(f"checkpoint {path} line {line_no} is not a chunk row")
+        done[(row["stream_id"], row["chunk_index"])] = row
     return done
 
 
@@ -385,9 +399,10 @@ def _conditional_ci(samples: int, hits: int) -> list[float]:
 def _chifit_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
                   count: int, bins: int) -> dict:
     eps = np.empty(count)
+    stream = RandomStream(spec.seed, stream_id, chunk_index)
 
     def blocks():  # each block's epsilon ratio, read before it is classified
-        for lo, w in _chunk_blocks(spec, stream_id, chunk_index, count):
+        for lo, w in sample_blocks(spec, stream, count):
             eps[lo:lo + w.shape[-1]] = epsilon_ratio_batch_2x2(w.transpose(2, 0, 1))
             yield lo, w
 

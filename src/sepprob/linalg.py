@@ -13,16 +13,14 @@ import numpy as np
 
 def partial_transpose_batch(rhos: np.ndarray, dA: int, dB: int,
                             side: str = "B") -> np.ndarray:
-    """Partial transpose of a stack (..., n, n) over one tensor factor."""
+    """Partial transpose of a stack (..., n, n) over B, the only ``side``
+    accepted; over A it is the full transpose of this."""
+    if side != "B":
+        raise ValueError("side must be 'B'")
     shape = rhos.shape
     n = dA * dB
     r = rhos.reshape(shape[:-2] + (dA, dB, dA, dB))
-    if side == "B":
-        r = r.transpose(*range(r.ndim - 4), -4, -1, -2, -3)
-    elif side == "A":
-        r = r.transpose(*range(r.ndim - 4), -2, -3, -4, -1)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
+    r = r.transpose(*range(r.ndim - 4), -4, -1, -2, -3)
     return np.ascontiguousarray(r.reshape(shape[:-2] + (n, n)))
 
 

@@ -38,11 +38,12 @@ layout does not touch the draws or their order.
 X-states follow the det(rho)^k-weighted flat law on their matrix slice
 (diagonal plus anti-diagonal), drawn exactly and without rejection: the
 weight factors into a Dirichlet diagonal and independent Beta laws for the
-anti-diagonal entries.  Drawing and assembly are split: ``_x_state_draws``
-returns a chunk's diagonals and anti-diagonals, which the Monte Carlo
-runner classifies as they are (``criteria.classify_x_states``), and
-``_x_state_matrices`` assembles matrices from them, a block at a time for
-``sample_blocks``.  Both layers see the same draws in the same order.
+anti-diagonal entries.  ``_x_state_draws`` returns a chunk's diagonals
+and anti-diagonals, which the Monte Carlo runner classifies as they are
+(``criteria.classify_x_states``).  Matrices are assembled from them
+(``_x_state_matrices``) only where something reads them: the whole stack
+in ``sample_batch``, and the rows that classifier leaves to its reference
+path.  ``sample_blocks`` draws the full family alone.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, counter), so any partition of the work across threads or
@@ -120,15 +121,17 @@ class RandomStream:
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
 
-def _induced_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
-    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` induced states,
-    w of shape (n, n, m) holding states lo, ..., lo + m - 1 (matrix index
-    last).
+def sample_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
+    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` states of the full
+    family, w of shape (n, n, m) holding states lo, ..., lo + m - 1 (matrix
+    index last); any other family is refused.
 
     Draws each block's Bartlett factors in the order the module notes give,
     builds W = L L* a column at a time and divides it by its trace.  The
     buffers, ``w`` included, are reused by the next block of the same size.
     """
+    if spec.family != "full":
+        raise ValueError(f"sample_blocks draws the full family, not {spec.family!r}")
     rng = stream.generator
     n, cols = spec.n, wishart_columns(spec.field, spec.n, spec.k)
     r = min(n, cols)
@@ -227,33 +230,15 @@ def _x_state_matrices(diag: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _x_state_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
-    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` X-states, w of
-    shape (n, n, m): the draws of :func:`_x_state_draws`, assembled a block
-    at a time."""
-    diag, z = _x_state_draws(spec, stream, count)
-    for lo in range(0, count, GRAM_BLOCK):
-        hi = lo + GRAM_BLOCK
-        yield lo, _x_state_matrices(diag[lo:hi], z[lo:hi]).transpose(1, 2, 0)
-
-
-def sample_blocks(spec: SamplerSpec, stream: RandomStream, count: int):
-    """Yield (lo, w) for each ``GRAM_BLOCK`` of ``count`` states of the spec's
-    family, w of shape (n, n, m) holding states lo, ..., lo + m - 1.
-
-    ``w`` is valid until the next block is drawn, which may overwrite it.
-    """
-    if spec.family == "full":
-        return _induced_blocks(spec, stream, count)
-    return _x_state_blocks(spec, stream, count)
-
-
 def sample_batch(spec: SamplerSpec, stream: RandomStream, count: int) -> np.ndarray:
-    """Stack of ``count`` states, shape (count, n, n): the blocks of
-    :func:`sample_blocks`, matrix index first.
+    """Stack of ``count`` states of the spec's family, shape (count, n, n):
+    the blocks of :func:`sample_blocks`, matrix index first, or the
+    X-states of :func:`_x_state_draws`.
 
     Real-field output is a float64 array; complex-field is complex128.
     """
+    if spec.family == "x_state":
+        return _x_state_matrices(*_x_state_draws(spec, stream, count))
     out = np.empty((count, spec.n, spec.n), dtype=complex if spec.field == "C" else float)
     for lo, w in sample_blocks(spec, stream, count):
         out[lo:lo + w.shape[-1]] = w.transpose(2, 0, 1)

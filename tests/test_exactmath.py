@@ -322,8 +322,13 @@ def test_master_term_odd_d_matches_mpmath_3f2(d, k):
 
 
 def test_master_chi_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        master_chi(2, 1.5)
+    # the odd-d series, the even-d polynomial and the catalog share one check
+    formulas = (lambda e: master_chi(1, e), lambda e: master_chi(2, e),
+                lambda e: chi_catalog(2, 1, e), lambda e: chi_catalog(3, 0, e, family="xstate"))
+    for eps in (1.5, -0.5, float("nan"), [0.5, float("nan")]):
+        for formula in formulas:
+            with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+                formula(eps)
 
 
 # ---------------------------------------------------------------------------

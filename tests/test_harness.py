@@ -20,7 +20,6 @@ from sepprob.harness import (
     ExperimentConfig,
     TrialTally,
     _chifit_chunk,
-    _chunk_blocks,
     _experiment_chunk,
     build_info,
     conjecture_search,
@@ -33,7 +32,8 @@ from sepprob.harness import (
     wald_ci,
 )
 from sepprob.linalg import epsilon_ratio_batch_2x2
-from sepprob.sampling import SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch
+from sepprob.sampling import (SAMPLER_VERSION, RandomStream, SamplerSpec, sample_batch,
+                              sample_blocks)
 
 
 def small_cfg(**overrides):
@@ -187,9 +187,11 @@ def test_experiment_chunk_equals_sample_then_classify(field, split, k, family):
                        family=family, seed=606)
     count = 2500  # two full blocks and a partial one
     _rhos, out = _composed_verdicts(spec, 1, 2, count)
-    kernel = classify_blocks(_chunk_blocks(spec, 1, 2, count), count, *split)
-    for key, want in out.items():
-        assert np.array_equal(kernel[key], want), key
+    if family == "full":  # X-state chunks draw no matrices
+        kernel = classify_blocks(sample_blocks(spec, RandomStream(spec.seed, 1, 2), count),
+                                 count, *split)
+        for key, want in out.items():
+            assert np.array_equal(kernel[key], want), key
     assert _experiment_chunk(spec, 1, 2, count) == {
         "stream_id": 1, "chunk_index": 2, "samples": count,
         "ppt_hits": int(np.count_nonzero(out["is_ppt"])),
@@ -340,6 +342,36 @@ def test_checkpoint_torn_last_line(tmp_path):
     path.write_text("\n".join(lines[:1] + ["{not json"] + lines[1:]) + "\n")
     with pytest.raises(json.JSONDecodeError):
         run_experiment(small_cfg(checkpoint=str(path)))
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2],
+    {"stream_id": 0, "chunk_index": 0, "samples": 10},  # no counts
+    {"stream_id": 0, "chunk_index": 0, "samples": 10, "ppt_hits": 2, "johnston_hits": 1,
+     "det_gt_hits_given_ppt": 1, "neg_eig_histogram": [2, 8]},  # 2 bins for 4 x 4 states
+    {"stream_id": 0, "chunk_index": 0, "samples": 10, "ppt_hits": "2", "johnston_hits": 1,
+     "det_gt_hits_given_ppt": 1, "neg_eig_histogram": [2, 8, 0, 0, 0]},
+    {"stream_id": 0, "chunk_index": 0, "samples": 10, "ppt_hits": 12, "johnston_hits": 1,
+     "det_gt_hits_given_ppt": 1, "neg_eig_histogram": [12, -2, 0, 0, 0]},  # a negative bin
+    {"stream_id": 0, "chunk_index": 0, "samples": 10, "ppt_hits": 3, "johnston_hits": 1,
+     "det_gt_hits_given_ppt": 1, "neg_eig_histogram": [2, 8, 0, 0, 0]},  # 3 PPT, 2 in bin 0
+    {"stream_id": 0, "chunk_index": 0, "samples": 10, "ppt_hits": 2, "johnston_hits": 3,
+     "det_gt_hits_given_ppt": 1, "neg_eig_histogram": [2, 8, 0, 0, 0]},  # Johnston beyond PPT
+])
+def test_cli_refuses_a_checkpoint_line_that_is_not_a_chunk_row(tmp_path, capsys, bad):
+    from sepprob.cli import main
+    ckpt = tmp_path / "c.jsonl"
+    argv = ["estimate", "--system", "2x2", "--field", "C", "--samples", "10",
+            "--streams", "1", "--checkpoint", str(ckpt)]
+    main(argv)
+    header, _row = ckpt.read_text().splitlines()
+    ckpt.write_text(header + "\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"sepprob: error: checkpoint {ckpt} line 2 is not a chunk row"
 
 
 def test_det_gt_equipartition_smoke():
@@ -511,7 +543,9 @@ def test_cli_estimate_and_chi_fit(tmp_path, capsys):
 
 def test_cli_quadrature_refuses_an_endless_eps_grid():
     from sepprob.cli import main
-    for grid in ("0.1:1.0:0", "0.1:1.0:-0.1", "1.0:0.1:0.1"):
+    # 0.5 + 1e-20 == 0.5 never moves; 0:1:1e-9 would hold 10^9 points
+    for grid in ("0.1:1.0:0", "0.1:1.0:-0.1", "1.0:0.1:0.1", "0.5:1:1e-20", "0:1:1e-9",
+                 "nan:1:0.1", "0:inf:0.1"):
         with pytest.raises(SystemExit):
             main(["quadrature", "--d", "2", "--eps-grid", grid])
 
@@ -535,6 +569,8 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "threads -3 must be at least 1"),
     (["chi-fit", "--field", "C", "--samples", "100", "--threads", "0"],
      "threads 0 must be at least 1"),
+    (["exact", "--formula", "master", "--d", "1", "--epsilon", "nan"],
+     "eps must lie in [0, 1]"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main

@@ -62,12 +62,13 @@ def test_partial_transpose_product_state_stays_psd():
     rng = np.random.default_rng(11)
     a = random_density(rng, 2)
     b = random_density(rng, 3)
-    for side in ("A", "B"):
-        pt = partial_transpose_batch(np.kron(a, b)[None], 2, 3, side)[0]
+    ptb = partial_transpose_batch(np.kron(a, b)[None], 2, 3, "B")[0]
+    # (a x b)^PT = a x b^T over B, a^T x b over A, the full transpose of it
+    for pt, want in ((ptb, np.kron(a, b.T)), (ptb.T, np.kron(a.T, b))):
         assert np.linalg.eigvalsh(pt)[0] > -1e-13
-        # (a x b)^PT = a x b^T over B, a^T x b over A
-        want = np.kron(a, b.T) if side == "B" else np.kron(a.T, b)
         assert np.max(np.abs(pt - want)) == 0
+    with pytest.raises(ValueError, match="side must be 'B'"):
+        partial_transpose_batch(np.kron(a, b)[None], 2, 3, "A")
 
 
 def test_partial_transpose_properties_bulk():
@@ -82,7 +83,7 @@ def test_partial_transpose_properties_bulk():
         w = g @ g.conj().swapaxes(1, 2)
         rho = w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
         ptb = partial_transpose_batch(rho, dA, dB, "B")
-        pta = partial_transpose_batch(rho, dA, dB, "A")
+        pta = ptb.swapaxes(1, 2)  # over A: the full transpose of the PT over B
         assert np.max(np.abs(np.trace(ptb, axis1=1, axis2=2)
                              - np.trace(rho, axis1=1, axis2=2))) < 1e-12
         assert np.max(np.abs(np.linalg.norm(ptb, axis=(1, 2))

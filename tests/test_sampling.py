@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from sepprob.sampling import RandomStream, SamplerSpec, sample_batch
+from sepprob.sampling import RandomStream, SamplerSpec, sample_batch, sample_blocks
 
 # frozen from the independent partial-trace oracle (400k pure states on
 # C^4 (x) C^4, reduced by explicit environment trace); the induced sampler
@@ -283,6 +283,8 @@ def test_sample_batch_dispatch():
     spec = SamplerSpec(field="C", n=4, split=(2, 2), k=0, family="x_state", seed=1)
     batch = sample_batch(spec, RandomStream(spec.seed, spec.stream_id), 8)
     assert batch.shape == (8, 4, 4)
+    with pytest.raises(ValueError, match="full family, not 'x_state'"):
+        next(sample_blocks(spec, RandomStream(spec.seed, spec.stream_id), 8))
     spec_full = SamplerSpec(field="R", n=4, split=(2, 2), k=0, seed=1)
     batch = sample_batch(spec_full, RandomStream(spec_full.seed, spec_full.stream_id), 8)
     assert batch.dtype == np.float64
