@@ -6,12 +6,19 @@ over the unit cube, and (for k = 0) from the hypergeometric master
 formula; feeding any of them through the weighted double integral returns
 the known separability probabilities.  The extended master decomposition
 (closed 3F2 term plus a 2D integral) is checked against the catalog too.
+The demo exits non-zero if a printed probability misses its exact value by
+more than 1e-8.
 """
+
+import sys
 
 import numpy as np
 
 from sepprob import quadrature as qd
-from sepprob.exactmath import chi_catalog, master_chi
+from sepprob.exactmath import chi_catalog, master_chi, u_closed
+
+PROB_TOL = 1e-8
+misses = []
 
 print("=== chi_{d,k}(eps): catalog vs constrained integration vs master ===")
 eps_grid = np.array([0.2, 0.5, 0.8, 1.0])
@@ -39,11 +46,16 @@ cases = [
 for label, d, k, chi, ref in cases:
     val = qd.sep_prob_general(d, k, chi)
     print(f"{label}: {val:.12f}  (err {abs(val - ref):.1e})")
+    if abs(val - ref) > PROB_TOL:
+        misses.append(label.strip())
 
 print("\n=== the eta interpolation ===")
 chi2 = qd.chi_from_catalog(2, 0)
 for eta in (-1, -0.5, 0, 1, 2, 3):
-    print(f"u({eta:>4}) = {qd.u_eta(eta, chi2):.10f}")
+    val = qd.u_eta(eta, chi2)
+    print(f"u({eta:>4}) = {val:.10f}")
+    if abs(val - float(u_closed(eta))) > PROB_TOL:
+        misses.append(f"u({eta})")
 
 print("\n=== extended master decomposition (sum of 3F2 term + 2D integral) ===")
 print("T2 runs over Y in [eps*r14^2, eps*r14], r14 in [0, 1], for every d")
@@ -61,3 +73,6 @@ print(f"d=1 k=0 eps=0.5: T1+T2 = {got:.10f} vs master {master_chi(1, 0.5):.10f}"
 print("\n=== X-state reduction ===")
 for d in (1, 2, 4):
     print(f"chi_x(d={d}, 0.5) = {chi_catalog(d, 0, 0.5, family='xstate')}")
+
+if misses:
+    sys.exit(f"missed the exact value by more than {PROB_TOL:g}: {', '.join(misses)}")

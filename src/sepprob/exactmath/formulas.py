@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.special import spence
 
 from .. import hyper
 from .values import PiRational
@@ -296,11 +297,13 @@ def master_term(d: int, k: int, eps):
     half the master formula taken to order k: the first part of
     ``quadrature.extended_master_parts``, and at k = 0 half of
     :func:`master_chi`.  Even d terminates (Horner's rule over
-    :func:`master_chi_coefficients`).  Odd d is summed for eps < 1 by
-    :func:`sepprob.hyper.hyp3f2_reg_series`, to about 1e-15 relative.  At
-    eps = 1 the series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2,
-    1 + 3d/2 + k; 1), which Dixon's theorem sums so that the term is
-    exactly 1/2 for every (d, k).
+    :func:`master_chi_coefficients`).  The two-rebit term, d = 1 and
+    k = 0, has a closed form on 1/4 <= eps < 1 (:func:`_two_rebit_term`).
+    Every other odd d and k, and d = 1, k = 0 below 1/4, is summed for
+    eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`, to about 1e-15
+    relative.  At eps = 1 the series is the well-poised 3F2(d, d/2,
+    -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1), which Dixon's theorem sums so that
+    the term is exactly 1/2 for every (d, k).
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
     outside [0, 1], NaN included, with ValueError.
@@ -311,21 +314,55 @@ def master_term(d: int, k: int, eps):
         raise ValueError("requires d >= 1 and k >= 0")
     eps_arr, scalar = _eps_domain(eps)
     out = np.full_like(eps_arr, 0.5)  # Dixon's sum at eps = 1
-    below = eps_arr < 1.0
-    e = eps_arr[below]
+    summed = eps_arr < 1.0
+    if (d, k) == (1, 0):
+        closed = summed & (eps_arr >= _TWO_REBIT_CLOSED_FROM)
+        out[closed] = _two_rebit_term(eps_arr[closed])
+        summed &= ~closed
+    e = eps_arr[summed]
     e2 = e * e
     if d % 2 == 0:
         acc = np.zeros_like(e2)
         for c in reversed(master_chi_coefficients(d, k)):
             acc = acc * e2 + float(c / 2)
-        out[below] = e ** d * acc
+        out[summed] = e ** d * acc
     else:
         a = (-d / 2 - k, d / 2, float(d))
         b = (d / 2 + 1, 3 * d / 2 + k + 1)
         scale = (math.factorial(d) * math.factorial(d + k) ** 2
                  / (2 * math.gamma(d / 2 + 1) * math.gamma(d / 2 + k + 1)))
-        out[below] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
+        out[summed] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
     return float(out) if scalar else out
+
+
+# below it the subtraction in _two_rebit_term loses more than the series' 1e-15
+_TWO_REBIT_CLOSED_FROM = 0.25
+
+
+def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
+    """master_term(1, 0, eps) in closed form, for eps in [1/4, 1):
+
+        (1/pi^2) [4 chi_2(eps) + ((1 - eps^2)/eps) ((1 + eps^2) artanh(eps)/eps - 1)],
+
+    with Legendre's chi_2(x) = (Li_2(x) - Li_2(-x))/2 = sum x^m/m^2 over odd
+    m, and Li_2(x) = spence(1 - x).
+
+    Proof.  Gamma(3/2)^2 = pi/4 makes the scale 2/pi, and the n-th term of
+    3F2_reg(-1/2, 1/2, 1; 3/2, 5/2; eps^2) is
+    -8 eps^(2n) / (pi (2n-1) (2n+1)^2 (2n+3)).  With m = 2n + 1,
+
+        1/((m-2) m^2 (m+2)) = 1/(16 (m-2)) - 1/(16 (m+2)) - 1/(4 m^2),
+
+    and summed against eps^(2n) the three parts are eps artanh(eps) - 1,
+    (artanh(eps) - eps)/eps^3 and chi_2(eps)/eps.  So the term is
+    (1/pi^2) [4 chi_2 + (artanh - eps)/eps^2 - eps^2 artanh + eps], which
+    regroups as above.  Both summands are nonnegative, and the one
+    subtraction, (1 + eps^2) artanh(eps)/eps - 1 >= 4 eps^2/3, is well
+    conditioned for eps >= 1/4.
+    """
+    chi2 = (spence(1.0 - eps) - spence(1.0 + eps)) / 2
+    rest = (1.0 - eps * eps) / eps * ((1.0 + eps * eps) * np.arctanh(eps) / eps - 1.0)
+    return (4.0 * chi2 + rest) / math.pi ** 2
 
 
 def master_chi(d: int, eps):

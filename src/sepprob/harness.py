@@ -305,6 +305,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
                 f"checkpoint {cfg.checkpoint} holds stream {s} chunk {c} with "
                 f"{row['samples']} samples, which is not on this run's chunk "
                 f"grid ({cfg.target_samples} samples over {cfg.streams} streams)")
+        states = sum(row["neg_eig_histogram"])
+        if states != row["samples"]:
+            raise ValueError(
+                f"checkpoint {cfg.checkpoint} holds stream {s} chunk {c} whose "
+                f"histogram counts {states} states, not its {row['samples']} samples")
     pending = [g for g in grid if (g[0], g[1]) not in done]
     rows = [done[(s, c)] for (s, c, _n) in grid if (s, c) in done]
 

@@ -55,7 +55,8 @@ def chi_from_catalog(d: int, k) -> ChiFunction:
 
 
 def chi_from_master(d: int) -> ChiFunction:
-    """Wrap the (k = 0) master formula, including the numeric odd-d path."""
+    """Wrap the (k = 0) master formula: a polynomial for even d, and for odd d
+    the 3F2 series, save d = 1 on eps >= 1/4, which is in closed form."""
     return ChiFunction(lambda e: master_chi(d, e))
 
 

@@ -321,6 +321,50 @@ def test_master_term_odd_d_matches_mpmath_3f2(d, k):
     assert np.array_equal(master_term(d, k, np.array([0.0, 1.0])), [0.0, 0.5])
 
 
+def _two_rebit_40_digits(eps) -> mpmath.mpf:
+    # chi_1(eps) from Li_2 and artanh, the closed form _two_rebit_term sums
+    e = mpmath.mpf(eps)
+    chi2 = (mpmath.polylog(2, e) - mpmath.polylog(2, -e)) / 2
+    rest = (1 - e * e) / e * ((1 + e * e) * mpmath.atanh(e) / e - 1)
+    return 2 * (4 * chi2 + rest) / mpmath.pi ** 2
+
+
+def test_two_rebit_closed_form_matches_40_digit_values():
+    rng = np.random.default_rng(16)
+    eps = np.concatenate([rng.uniform(0.25, 1.0, 180), 1.0 - rng.uniform(0.0, 1e-7, 20)])
+    eps = eps[eps < 1.0]
+    got = master_chi(1, eps)
+    with mpmath.workdps(40):
+        # the closed form is the 3F2 series
+        h = mpmath.mpf(1) / 2
+        for e in map(mpmath.mpf, (0.25, 0.6, 0.99)):
+            series = 32 * e * mpmath.hyp3f2(-h, h, 1, h + 1, 3 * h + 1, e * e) / (3 * mpmath.pi ** 2)
+            assert abs(_two_rebit_40_digits(e) / series - 1) < mpmath.mpf(10) ** -35
+        for e, value in zip(eps, got):
+            ref = _two_rebit_40_digits(e)
+            assert abs(value - ref) / ref <= 2e-15, (e, value)
+
+
+def test_two_rebit_closed_form_meets_the_series_at_one_quarter():
+    from sepprob.exactmath.formulas import _TWO_REBIT_CLOSED_FROM, _two_rebit_term
+    from sepprob.hyper import hyp3f2_reg_series
+    assert _TWO_REBIT_CLOSED_FROM == 0.25
+    below = np.nextafter(0.25, 0.0)
+    for eps in (0.25, below):
+        scale = 1 / (2 * math.gamma(1.5) * math.gamma(1.5))  # master_term's, 2/pi
+        series = eps * scale * hyp3f2_reg_series((-0.5, 0.5, 1.0), (1.5, 2.5),
+                                                 np.array([eps * eps]))[0]
+        closed = _two_rebit_term(np.array([eps]))[0]
+        assert abs(closed - series) <= 2e-15 * series
+        assert master_term(1, 0, eps) == (closed if eps == 0.25 else series)
+
+
+def test_two_rebit_partial_fractions():
+    for m in range(1, 42, 2):
+        assert (Fraction(1, 16 * (m - 2)) - Fraction(1, 16 * (m + 2)) - Fraction(1, 4 * m * m)
+                == Fraction(1, (m - 2) * m * m * (m + 2)))
+
+
 def test_master_chi_rejects_bad_eps():
     # the odd-d series, the even-d polynomial and the catalog share one check
     formulas = (lambda e: master_chi(1, e), lambda e: master_chi(2, e),

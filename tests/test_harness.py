@@ -290,6 +290,20 @@ def test_checkpoint_rows_must_match_the_grid(tmp_path):
         run_experiment(small_cfg(target_samples=70_000, streams=1, checkpoint=str(path)))
 
 
+def test_checkpoint_histogram_must_sum_to_its_samples(tmp_path):
+    # a row whose bins held one state more than its samples was resumed, and
+    # the report counted that state
+    path = tmp_path / "ckpt.jsonl"
+    run_experiment(small_cfg(target_samples=70_000, streams=1, checkpoint=str(path)))
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["neg_eig_histogram"][-1] += 1
+    path.write_text("\n".join([lines[0], json.dumps(row)] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"counts {row['samples'] + 1} states, not its "
+                                         f"{row['samples']} samples"):
+        run_experiment(small_cfg(target_samples=70_000, streams=1, checkpoint=str(path)))
+
+
 def test_checkpoint_from_another_config_is_refused(tmp_path):
     # an R 2x2 k=2 seed-999 run used to resume this C 2x2 k=0 seed-1
     # checkpoint and report its estimate, 0.245 against about 0.804

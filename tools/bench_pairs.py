@@ -4,7 +4,9 @@ Each side is a git revision (a commit, or the tree ``git write-tree`` makes of
 the index).  The script extracts each with ``git archive`` into a temporary
 directory and runs ``perfbench/run.py --trace 0`` there, one seed per pair,
 swapping the side that runs first each pair; the run length is the benchmark's
-own default.  Run from inside the repository, one call per workload:
+own default.  A run whose verdict line reads ``"correct": false`` stops the
+script with a non-zero status, naming the workload, seed and side, before any
+record is written.  Run from inside the repository, one call per workload:
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> \\
         --workload mc_qubit --seeds 6101-6110 --label <label> \\
@@ -88,6 +90,9 @@ def run_pairs(checkouts: dict[str, Path], workload: str, seeds: list[int],
     for i, seed in enumerate(seeds):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             result = run_side(checkouts[side], workload, seed)
+            if not result["correct"]:
+                raise SystemExit(f"{workload} seed {seed} {side}: the run reports "
+                                 "incorrect results; no record written")
             attempted[side] += result["attempted"]
             failed[side] += result["failed"]
             for name in values:
