@@ -367,16 +367,15 @@ def classify_blocks(blocks, count: int, dA: int, dB: int) -> dict[str, np.ndarra
         det_pt_rows = det_pt[rows]
         if n == 4:  # certified closed form (see the module notes)
             rho_eigs, det_rho, ok, slack = _quartic_spectra(mats)
-            det_gt[rows], settled = _det_gt(det_pt_rows, det_rho, dA, dB, CHARPOLY_ERR)
-            ok &= settled
-        else:
+            err = CHARPOLY_ERR
+        else:  # LAPACK's own spectra: nothing to certify but the tie
             rho_eigs = np.linalg.eigvalsh(mats)
-            det_rho, slack = np.prod(rho_eigs, axis=-1), 0.0
-            det_gt[rows], ok = _det_gt(det_pt_rows, det_rho, dA, dB)
+            det_rho, ok, slack, err = np.prod(rho_eigs, axis=-1), True, 0.0, 0.0
+        det_gt[rows], settled = _det_gt(det_pt_rows, det_rho, dA, dB, err)
+        ok &= settled
         if dA == 2 or dB == 2:
             johnston[rows] = _johnston_rows(rho_eigs, n, -slack)
-            if n == 4:
-                ok &= johnston[rows] == _johnston_rows(rho_eigs, n, slack)
+            ok &= johnston[rows] == _johnston_rows(rho_eigs, n, slack)
         if not ok.all():
             open_rows.append((rows[~ok], mats[~ok]))
     out = {"is_ppt": neg == 0, "neg_pt_eigs": neg, "det_gt": det_gt, "johnston": johnston}

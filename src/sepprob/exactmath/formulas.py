@@ -300,10 +300,13 @@ def master_term(d: int, k: int, eps):
     :func:`master_chi_coefficients`).  The two-rebit term, d = 1 and
     k = 0, has a closed form on 1/4 <= eps < 1 (:func:`_two_rebit_term`).
     Every other odd d and k, and d = 1, k = 0 below 1/4, is summed for
-    eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`, to about 1e-15
-    relative.  At eps = 1 the series is the well-poised 3F2(d, d/2,
-    -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1), which Dixon's theorem sums so that
-    the term is exactly 1/2 for every (d, k).
+    eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`.  At k = 0, against
+    the tests' 50-digit values (to eps = 0.999999 at d = 1, 3, 1 - 1e-12
+    above), its worst relative errors were 8.4e-16 (d = 1, 3), 8.9e-16 (5),
+    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13), and
+    ``master_chi(9, eps)`` exceeds 1 by up to 8.9e-15.  At eps = 1 the
+    series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
+    which Dixon's theorem sums so that the term is exactly 1/2 for all (d, k).
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
     outside [0, 1], NaN included, with ValueError.

@@ -1,9 +1,9 @@
 """Integer primality and factorization for exact-value display.
 
 Trial division over a sieved prime table handles the smooth constants
-arising from the volume formulas directly; a deterministic Miller-Rabin
-test (witness set valid below 3.317e24) certifies large cofactors, and
-Brent-cycle Pollard rho splits the rare composite leftovers.
+arising from the volume formulas directly; Miller-Rabin, with a strong
+Lucas test past 3.317e24, certifies large cofactors, and Brent-cycle
+Pollard rho splits the rare composite leftovers.
 """
 
 from __future__ import annotations
@@ -27,36 +27,68 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_SIEVE_BOUND)
 
-# Deterministic witness set for n < 3.317e24 (Sorenson & Webster).
+# Deterministic witness set below the bound, the least strong pseudoprime to
+# all thirteen bases (Sorenson & Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below ~3.3e24."""
+    """Miller-Rabin to the bases ``_MR_WITNESSES``, and from
+    ``MR_DETERMINISTIC_BOUND`` up a strong Lucas test too (Baillie-PSW).
+    Proven below the bound; above it only believed, as no composite that
+    passes Baillie-PSW is known."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
+    r = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^r, d odd
+    d = (n - 1) >> r
+    for a in _MR_WITNESSES:  # strong probable prime: a^d = 1 or a^(d 2^j) = -1
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and all(pow(x, 2 ** j, n) != n - 1 for j in range(r)):
             return False
-    return True
+    return n < MR_DETERMINISTIC_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            sign = -sign if n % 8 in (3, 5) else sign
+        sign = -sign if a % 4 == 3 == n % 4 else sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n with no factor up to 41,
+    with Selfridge's parameters: D the first of 5, -7, 9, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes
+    iff U_d = 0 or V_(d 2^j) = 0 (mod n) for some j < s."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (jac := _jacobi(D, n)) != -1:
+        if jac == 0:  # D shares a factor with n
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q, half, s = (1 - D) // 4, (n + 1) // 2, ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # index 1; each bit doubles it, a set bit adds 1
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def _pollard_brent(n: int) -> int:
@@ -103,8 +135,6 @@ def factor_int(n: int) -> PrimeFactorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -277,6 +277,81 @@ def test_master_chi_odd_matches_50_digit_values(d):
         assert abs(got - exact) / exact <= 1e-15, (d, eps, got)
 
 
+# 50-digit values of chi_{d,0}(eps) for odd d >= 5 at the float eps below,
+# from mpmath 1.3.0's hyp3f2 (dps 60) and, independently, from the partial
+# fractions of the 3F2 term summed as artanh and Legendre chi_2 (dps 110);
+# the two agree in every digit
+MASTER_CHI_ODD_EPS = (0.3, 0.6, 0.9, 0.99, 0.999, 0.999999,
+                      1 - 1e-8, 1 - 1e-10, 1 - 1e-12)
+MASTER_CHI_ODD_50_DIGITS = {
+    5: (
+        "0.0074060425041981424929092326514516696890711291752073",
+        "0.17484630840908630500757529513161957414192428571961",
+        "0.75870421319108652698878717438716914375865638745894",
+        "0.97646488455602736670323773100035359177549757076544",
+        "0.99765661603373969317271452723453763212071856156249",
+        "0.99999765778186544757793149217591059049523248664819",
+        "0.99999997657783013139151871703573917884516551168879",
+        "0.99999999976577828427063014300022327916799986101418",
+        "0.99999999999765783485048626949796250315659986715049",
+    ),
+    7: (
+        "0.0012849725689929033148120701903942927129088037000446",
+        "0.10146109636438237202954438824931763733135042963913",
+        "0.71044600293565988762328249014396420720747747253303",
+        "0.97156219906831563483031744974308906017870376241354",
+        "0.99716827629089807360014536264991509920246628606703",
+        "0.99999716968326118601431959788982404943223245462866",
+        "0.99999997169684648045073211807368016756479274654974",
+        "0.99999999971696844420954467629858156263784334639701",
+        "0.99999999999716974728786033125348196366450384215188",
+    ),
+    9: (
+        "0.00023041045142397680168410509083781787021722993867323",
+        "0.060364584322871319328843767572934125651086780564664",
+        "0.67011194735610964572443496844360788820847163951753",
+        "0.96737435447624015414597212859247094156981641029666",
+        "0.99675105525671554562578757662595045500288511419995",
+        "0.99999675266740555335638617404144511179452861351963",
+        "0.99999996752668996748633230343536074345727053245243",
+        "0.99999999967526687604546078266850356208977168038123",
+        "0.99999999999675274086584759574629191337169180325317",
+    ),
+    11: (
+        "0.000042179383912149542832829741973920476543531640564918",
+        "0.036495314734321644061189229618260930981036526300651",
+        "0.63511599996926925905619684697012398164261504388223",
+        "0.96366084454483108649151666539387306237307232013818",
+        "0.99638101631605348297238514988371684792437352394289",
+        "0.99999638280969708214337577647418648110636292777890",
+        "0.99999996382811469505578885130787793148846288319990",
+        "0.99999999963828112062986441957186453783695010829412",
+        "0.99999999999638289152419670926905253746519203741665",
+    ),
+    13: (
+        "0.0000078320873096531495767399694183105772919578592808538",
+        "0.022314159815527857649290740002384673742583844616760",
+        "0.60404173400308859738256486669469956345866077845791",
+        "0.96029099181423506454036257946860695381079454445903",
+        "0.99604515436052957964394386259424215667337249985763",
+        "0.99999604711156146218247315497381206122444266716189",
+        "0.99999996047113498375108759989645732969860416550891",
+        "0.99999999960471132107409057203118684492926460063321",
+        "0.99999999999604720098264785050872587438536205114441",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
+def test_master_chi_higher_odd_d_meets_its_stated_accuracy(d):
+    # the series' rounding grows with d near eps = 1 (the hyper module notes)
+    tol = 3e-15 if d <= 7 else 2e-13
+    for eps, ref in zip(MASTER_CHI_ODD_EPS, MASTER_CHI_ODD_50_DIGITS[d]):
+        exact = mpmath.mpf(ref)
+        got = master_chi(d, eps)
+        assert abs(got - exact) / exact <= tol, (d, eps, got)
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_master_chi_is_one_at_the_endpoint(d):
     # Dixon's theorem sums the odd-d series at eps = 1 to exactly 1
@@ -287,8 +362,9 @@ def test_master_chi_is_one_at_the_endpoint(d):
 def test_master_chi_odd_array_equals_scalar_calls():
     from sepprob.hyper import SERIES_CHUNK
     rng = np.random.default_rng(7)
-    # three chunks once sorted: the arguments near 1, which need up to
-    # several hundred thousand terms, lie on both sides of the second boundary
+    # three chunks once sorted at d = 3: the arguments near 1, which need up
+    # to about 7,700 terms, lie on both sides of the second boundary; at
+    # d = 1 only the 13 below 1/4 reach the series, the rest the closed form
     eps = np.sqrt(np.concatenate([
         rng.random(SERIES_CHUNK + 37),
         1.0 - 10.0 ** rng.uniform(-6, -1, SERIES_CHUNK - 11),
@@ -450,6 +526,22 @@ def test_is_prime_basics():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
+
+
+# the least strong pseudoprime to all thirteen Miller-Rabin bases
+MR_PSEUDOPRIME = 1287836182261 * 2575672364521
+
+
+def test_is_prime_refuses_the_strong_pseudoprime_to_every_base():
+    assert MR_PSEUDOPRIME == 3317044064679887385961981
+    assert not is_prime(MR_PSEUDOPRIME)
+    assert factor_int(MR_PSEUDOPRIME).factors == ((1287836182261, 1), (2575672364521, 1))
+
+
+def test_is_prime_keeps_mersenne_primes_past_the_deterministic_bound():
+    assert is_prime(2 ** 89 - 1)
+    assert is_prime(2 ** 107 - 1)
+    assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
 
 
 # ---------------------------------------------------------------------------

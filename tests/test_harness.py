@@ -513,6 +513,13 @@ def test_conjecture_search_validation():
         conjecture_search("0.0", "1.0", [2, 3, 5], 10 ** 6, 40)  # cap exceeded
 
 
+def test_conjecture_search_refuses_a_strong_pseudoprime():
+    # composite, yet a strong probable prime to every Miller-Rabin base used
+    pseudoprime = 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="not prime"):
+        conjecture_search("0.1", "0.2", [2, pseudoprime], 10 ** 6, 5)
+
+
 def test_candidate_fields():
     c = ConjectureCandidate(27, 1000, (2, 5), 2)
     assert c.value == 0.027
