@@ -147,13 +147,9 @@ def _cmd_chi_fit(args) -> None:
                                    seed=args.seed, streams=args.streams,
                                    threads=args.threads)
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["bin_lo", "bin_hi", "n", "rate", "ci_lo", "ci_hi",
-                     "chi_ref", "residual"])
-    for row in table["rows"]:
-        writer.writerow([row["bin_lo"], row["bin_hi"], row["n"], row["rate"],
-                         row["ci_lo"], row["ci_hi"], row["chi_ref"],
-                         row["residual"]])
+    writer = csv.DictWriter(buf, fieldnames=list(table["rows"][0]))
+    writer.writeheader()
+    writer.writerows(table["rows"])
     _emit(buf.getvalue(), args.out)
 
 

@@ -303,8 +303,9 @@ def master_term(d: int, k: int, eps):
     eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`.  At k = 0, against
     the tests' 50-digit values (to eps = 0.999999 at d = 1, 3, 1 - 1e-12
     above), its worst relative errors were 8.4e-16 (d = 1, 3), 8.9e-16 (5),
-    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13), and
-    ``master_chi(9, eps)`` exceeds 1 by up to 8.9e-15.  At eps = 1 the
+    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13).  Twice the
+    term rounds above 1 just below eps = 1 (by up to 1.4e-13 at d = 13),
+    which :func:`master_chi` clips.  At eps = 1 the
     series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
     which Dixon's theorem sums so that the term is exactly 1/2 for all (d, k).
 
@@ -370,5 +371,7 @@ def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
 
 def master_chi(d: int, eps):
     """Hilbert-Schmidt master formula chi_{d,0}(eps) for positive integer d:
-    twice :func:`master_term` at k = 0, so exactly 1 at eps = 1."""
-    return 2 * master_term(d, 0, eps)
+    twice :func:`master_term` at k = 0, so exactly 1 at eps = 1, clipped to
+    at most 1, as a probability is."""
+    chi = 2 * master_term(d, 0, eps)
+    return min(chi, 1.0) if isinstance(chi, float) else np.minimum(chi, 1.0)

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
@@ -44,6 +45,23 @@ CHUNK_SAMPLES = 65_536
 CI_LEVEL = 0.95
 CP_FALLBACK_HITS = 30  # below this many hits (or misses), Wald is unreliable
 CANDIDATE_CAP = 200_000  # conjecture_search refuses a lattice with more candidates
+# an experiment chunk row's counts, in row order; tallies are their sums
+_COUNTS = ("samples", "ppt_hits", "johnston_hits", "det_gt_hits_given_ppt",
+           "neg_eig_histogram")
+
+
+def _sum_rows(rows, keys: tuple[str, ...] = _COUNTS) -> dict:
+    """Field-wise sum of rows over ``keys``: integers add, and lists add
+    element by element, the shorter padded with zeros."""
+    total = {}
+    for row in rows:
+        for key in keys:
+            if isinstance(row[key], list):
+                total[key] = [a + b for a, b in
+                              zip_longest(total.get(key, ()), row[key], fillvalue=0)]
+            else:
+                total[key] = total.get(key, 0) + row[key]
+    return total
 
 
 def build_info() -> dict:
@@ -83,17 +101,8 @@ class TrialTally:
     def merge(self, other: "TrialTally") -> "TrialTally":
         if self.samples and other.samples and self.seed != other.seed:
             raise ValueError("refusing to merge tallies from different seeds")
-        width = max(len(self.neg_eig_histogram), len(other.neg_eig_histogram))
-        hist = [0] * width
-        for src in (self.neg_eig_histogram, other.neg_eig_histogram):
-            for i, v in enumerate(src):
-                hist[i] += v
         return TrialTally(
-            samples=self.samples + other.samples,
-            ppt_hits=self.ppt_hits + other.ppt_hits,
-            johnston_hits=self.johnston_hits + other.johnston_hits,
-            det_gt_hits_given_ppt=self.det_gt_hits_given_ppt + other.det_gt_hits_given_ppt,
-            neg_eig_histogram=hist,
+            **_sum_rows((vars(self), vars(other))),
             seed=self.seed if self.samples else other.seed,
             stream_ids=sorted(set(self.stream_ids) | set(other.stream_ids)),
             wall_time=self.wall_time + other.wall_time,
@@ -101,15 +110,8 @@ class TrialTally:
 
     def counts_dict(self) -> dict:
         """The deterministic content (everything except wall time)."""
-        return {
-            "samples": self.samples,
-            "ppt_hits": self.ppt_hits,
-            "johnston_hits": self.johnston_hits,
-            "det_gt_hits_given_ppt": self.det_gt_hits_given_ppt,
-            "neg_eig_histogram": list(self.neg_eig_histogram),
-            "seed": self.seed,
-            "stream_ids": list(self.stream_ids),
-        }
+        return {**_sum_rows([vars(self)]),  # a one-row sum: the counts, copied
+                "seed": self.seed, "stream_ids": list(self.stream_ids)}
 
 
 @dataclass
@@ -173,16 +175,11 @@ def _experiment_chunk(spec: SamplerSpec, stream_id: int, chunk_index: int,
         out = classify_x_states(*_x_state_draws(spec, stream, count), *spec.split)
     else:
         out = classify_blocks(sample_blocks(spec, stream, count), count, *spec.split)
-    hist = np.bincount(out["neg_pt_eigs"], minlength=spec.n + 1)
-    return {
-        "stream_id": stream_id,
-        "chunk_index": chunk_index,
-        "samples": count,
-        "ppt_hits": int(np.count_nonzero(out["is_ppt"])),
-        "johnston_hits": int(np.count_nonzero(out["johnston"])),
-        "det_gt_hits_given_ppt": int(np.count_nonzero(out["det_gt"] & out["is_ppt"])),
-        "neg_eig_histogram": hist.tolist(),
-    }
+    hits = [int(np.count_nonzero(v))
+            for v in (out["is_ppt"], out["johnston"], out["det_gt"] & out["is_ppt"])]
+    hist = np.bincount(out["neg_pt_eigs"], minlength=spec.n + 1).tolist()
+    return {"stream_id": stream_id, "chunk_index": chunk_index,
+            **dict(zip(_COUNTS, [count, *hits, hist]))}
 
 
 def _run_grid(chunk_fn, spec: SamplerSpec, grid, threads: int):
@@ -216,22 +213,34 @@ def _checkpoint_fingerprint(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _is_chunk_row(row, n: int) -> bool:
-    """Whether a parsed checkpoint line is an experiment chunk row for n x n
-    states: nonnegative integer keys and counts, and n + 1 histogram bins,
-    bin 0 holding the PPT hits, of which the Johnston and det_gt hits are a
-    part."""
-    counts = ("stream_id", "chunk_index", "samples", "ppt_hits", "johnston_hits",
-              "det_gt_hits_given_ppt")
-    hist = row.get("neg_eig_histogram") if isinstance(row, dict) else None
-    if not (isinstance(hist, list) and len(hist) == n + 1):
-        return False
-    return (all(type(v) is int and v >= 0 for v in hist + [row.get(key) for key in counts])
-            and hist[0] == row["ppt_hits"] >= max(row["johnston_hits"],
-                                                   row["det_gt_hits_given_ppt"]))
+def _check_chunk_row(path: str, line_no: int, row, fingerprint: dict,
+                     grid: dict[tuple[int, int], int]) -> None:
+    """Refuse a parsed checkpoint line unless it is a chunk row of this run:
+    nonnegative integer keys and counts, n + 1 histogram bins for n x n
+    states, bin 0 holding the PPT hits, of which the Johnston and det_gt hits
+    are a part; (stream, chunk, samples) on ``grid``; and a histogram that
+    sums to the samples."""
+    row = row if isinstance(row, dict) else {}
+    s, c, samples, ppt, johnston, det_gt, hist = (
+        row.get(key) for key in ("stream_id", "chunk_index", *_COUNTS))
+    if not (isinstance(hist, list) and len(hist) == math.prod(fingerprint["split"]) + 1
+            and all(type(v) is int and v >= 0
+                    for v in [s, c, samples, ppt, johnston, det_gt, *hist])
+            and hist[0] == ppt >= max(johnston, det_gt)):
+        raise ValueError(f"checkpoint {path} line {line_no} is not a chunk row")
+    if grid.get((s, c)) != samples:
+        raise ValueError(
+            f"checkpoint {path} holds stream {s} chunk {c} with {samples} samples, "
+            f"which is not on this run's chunk grid ({fingerprint['target_samples']} "
+            f"samples over {fingerprint['streams']} streams)")
+    if sum(hist) != samples:
+        raise ValueError(
+            f"checkpoint {path} holds stream {s} chunk {c} whose histogram counts "
+            f"{sum(hist)} states, not its {samples} samples")
 
 
-def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict]:
+def _load_checkpoint(path: str, fingerprint: dict,
+                     grid: list[tuple[int, int, int]]) -> dict[tuple[int, int], dict]:
     """Completed chunk rows keyed by (stream_id, chunk_index).
 
     The first line is a header, ``{"fingerprint": ...}``, written by
@@ -240,7 +249,9 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
     crash mid-write leaves it, is dropped with a warning and cut from the
     file, so that the next line appended starts on a line of its own.  An
     unparsable line anywhere else raises, and so, once the header matches,
-    does a line that is not a chunk row of this system.
+    does a line that is not a chunk row of this run's ``grid``
+    (:func:`_check_chunk_row`).  A file of blank lines alone is emptied, so
+    that the header is written first.
     """
     done = {}
     if not os.path.exists(path):
@@ -268,6 +279,8 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
         else:
             if lines and not lines[-1].endswith(b"\n"):
                 fh.write(b"\n")
+        if header is None:
+            fh.truncate(0)
     if header is None:
         return done
     theirs = header.get("fingerprint") if isinstance(header, dict) else None
@@ -278,10 +291,9 @@ def _load_checkpoint(path: str, fingerprint: dict) -> dict[tuple[int, int], dict
     if diffs:
         raise ValueError(f"checkpoint {path} was written for another config or "
                          f"chunk grid: {'; '.join(diffs)}")
-    n = math.prod(fingerprint["split"])
+    on_grid = {(s, c): n for s, c, n in grid}
     for line_no, row in rows.items():
-        if not _is_chunk_row(row, n):
-            raise ValueError(f"checkpoint {path} line {line_no} is not a chunk row")
+        _check_chunk_row(path, line_no, row, fingerprint, on_grid)
         done[(row["stream_id"], row["chunk_index"])] = row
     return done
 
@@ -297,21 +309,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
     _check_threads(cfg.threads)
     grid = _chunk_grid(cfg.target_samples, cfg.streams)
     fingerprint = _checkpoint_fingerprint(cfg)
-    done = _load_checkpoint(cfg.checkpoint, fingerprint) if cfg.checkpoint else {}
-    expected = {(s, c): n for s, c, n in grid}
-    for (s, c), row in done.items():
-        if expected.get((s, c)) != row["samples"]:
-            raise ValueError(
-                f"checkpoint {cfg.checkpoint} holds stream {s} chunk {c} with "
-                f"{row['samples']} samples, which is not on this run's chunk "
-                f"grid ({cfg.target_samples} samples over {cfg.streams} streams)")
-        states = sum(row["neg_eig_histogram"])
-        if states != row["samples"]:
-            raise ValueError(
-                f"checkpoint {cfg.checkpoint} holds stream {s} chunk {c} whose "
-                f"histogram counts {states} states, not its {row['samples']} samples")
+    done = _load_checkpoint(cfg.checkpoint, fingerprint, grid) if cfg.checkpoint else {}
     pending = [g for g in grid if (g[0], g[1]) not in done]
-    rows = [done[(s, c)] for (s, c, _n) in grid if (s, c) in done]
+    rows = list(done.values())
 
     ckpt_fh = open(cfg.checkpoint, "a") if cfg.checkpoint else None
     try:
@@ -328,10 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[TrialTally, dict]:
             ckpt_fh.close()
 
     tally = TrialTally(
-        **{key: sum(row[key] for row in rows) for key in
-           ("samples", "ppt_hits", "johnston_hits", "det_gt_hits_given_ppt")},
-        neg_eig_histogram=[sum(col) for col in
-                           zip(*(row["neg_eig_histogram"] for row in rows))],
+        **_sum_rows(rows),
         seed=cfg.sampler.seed,
         stream_ids=sorted({row["stream_id"] for row in rows}),
         wall_time=time.perf_counter() - t0,
@@ -440,20 +437,15 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     _check_threads(threads)
     spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=seed)
     grid = _chunk_grid(samples, streams)
-    totals = np.zeros(bins, dtype=np.int64)
-    hits = np.zeros(bins, dtype=np.int64)
-    discarded = 0
-    for row in _run_grid(partial(_chifit_chunk, bins=bins), spec, grid, threads):
-        totals += row["totals"]
-        hits += row["hits"]
-        discarded += row["discarded"]
+    sums = _sum_rows(_run_grid(partial(_chifit_chunk, bins=bins), spec, grid, threads),
+                     ("totals", "hits", "discarded"))
 
     d = 2 if field == "C" else 1
     rows = []
     for i in range(bins):
         lo_edge, hi_edge = i / bins, (i + 1) / bins
         mid = (lo_edge + hi_edge) / 2
-        nb, hb = int(totals[i]), int(hits[i])
+        nb, hb = sums["totals"][i], sums["hits"][i]
         rate = hb / nb if nb else float("nan")
         ci = _conditional_ci(nb, hb)
         try:
@@ -466,7 +458,7 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
             "residual": rate - ref if nb else float("nan"),
         })
     return {"field": field, "k": k, "bins": bins, "samples": samples,
-            "seed": seed, "streams": streams, "discarded": discarded,
+            "seed": seed, "streams": streams, "discarded": sums["discarded"],
             "rows": rows, "build_info": build_info()}
 
 

@@ -352,6 +352,15 @@ def test_master_chi_higher_odd_d_meets_its_stated_accuracy(d):
         assert abs(got - exact) / exact <= tol, (d, eps, got)
 
 
+def test_master_chi_never_exceeds_one():
+    # twice the term rounded up to 1 + 1.4e-13 (d = 13) and 1 + 1.3e-14
+    # (d = 10) just below eps = 1; chi is a probability
+    eps = np.append(1.0 - np.logspace(-16, -1, 3000), np.nextafter(1.0, 0.0))
+    for d in range(5, 14):
+        assert np.max(master_chi(d, eps)) <= 1.0, d
+        assert master_chi(d, float(eps[-1])) <= 1.0, d
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_master_chi_is_one_at_the_endpoint(d):
     # Dixon's theorem sums the odd-d series at eps = 1 to exactly 1

@@ -165,6 +165,11 @@ def test_experiment_merge_equals_single_run():
             stream_ids=[row["stream_id"]]))
     merged = parts[0].merge(parts[1]).merge(parts[2])
     assert merged.counts_dict() == full.counts_dict()
+    # from an empty tally, as a replay sums its chunks: the histogram widens
+    merged = TrialTally(seed=1234)
+    for part in parts:
+        merged = merged.merge(part)
+    assert merged.counts_dict() == full.counts_dict()
 
 
 def _composed_verdicts(spec, stream_id, chunk_index, count):
@@ -270,6 +275,19 @@ def test_checkpoint_resume(tmp_path):
     # untouched re-resume: nothing recomputed, same result
     tally3, _ = run_experiment(cfg)
     assert tally1.counts_dict() == tally3.counts_dict()
+
+
+def test_checkpoint_of_blank_lines_gets_a_header(tmp_path):
+    # the rows of a run over a blank-line file used to go in with no header,
+    # and the next resume refused the file for it
+    path = tmp_path / "ckpt.jsonl"
+    path.write_text("\n  \n")
+    fresh, _ = run_experiment(small_cfg(target_samples=1_000, streams=1))
+    cfg = small_cfg(target_samples=1_000, streams=1, checkpoint=str(path))
+    for _ in range(2):
+        tally, _ = run_experiment(cfg)
+        assert tally.counts_dict() == fresh.counts_dict()
+    assert "fingerprint" in json.loads(path.read_text().splitlines()[0])
 
 
 def test_checkpoint_rows_must_match_the_grid(tmp_path):
