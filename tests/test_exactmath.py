@@ -25,7 +25,7 @@ from sepprob.exactmath import (
     volume_hs,
     volume_lebesgue,
 )
-from sepprob.exactmath.formulas import master_chi_coefficients, master_term
+from sepprob.exactmath.formulas import gamma_half_exact, master_chi_coefficients, master_term
 
 # ---------------------------------------------------------------------------
 # volumes
@@ -78,6 +78,31 @@ def test_volume_hs_matches_float_oracle(field, n):
                    * mpmath.fprod([mpmath.gamma(1 + i / 2.0) for i in range(1, n + 1)])
                    / (mpmath.gamma(n * (n + 1) / 2) * mpmath.gamma(0.5)))
         got = volume_hs(field, n).value(35)
+        assert abs(got - ref) < abs(ref) * mpmath.mpf(10) ** -30
+
+
+def test_gamma_half_exact_matches_mpmath():
+    with mpmath.workdps(40):
+        for t in range(1, 61):
+            g, e = gamma_half_exact(t)
+            got = mpmath.mpf(g.numerator) / g.denominator * mpmath.sqrt(mpmath.pi) ** e
+            ref = mpmath.gamma(mpmath.mpf(t) / 2)
+            assert abs(got - ref) < ref * mpmath.mpf(10) ** -35, t
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_milz_strunz_volume_matches_float_oracle(m):
+    # direct mpmath evaluation of the r = 0 formula
+    # sqrt(m) 2^(6m^2-m-23/2) pi^(2m^2-m-3/2) prod_{k<=2m} Gamma(k)
+    #   Gamma(2m^2+1/2) / (Gamma(4m^2) Gamma(2m^2-1))
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        ref = (mpmath.sqrt(m) * mpmath.mpf(2) ** (6 * m * m - m - 23 * half)
+               * mpmath.pi ** (2 * m * m - m - 3 * half)
+               * mpmath.fprod([mpmath.gamma(k) for k in range(1, 2 * m + 1)])
+               * mpmath.gamma(2 * m * m + half)
+               / (mpmath.gamma(4 * m * m) * mpmath.gamma(2 * m * m - 1)))
+        got = milz_strunz_volume(m, 0.0)[0].value(35)
         assert abs(got - ref) < abs(ref) * mpmath.mpf(10) ** -30
 
 
