@@ -29,17 +29,18 @@ class CatalogMiss(LookupError):
 # gamma-function plumbing over exact rationals
 # ---------------------------------------------------------------------------
 
-def gamma_half_exact(twice: int) -> tuple[Fraction, int]:
-    """Gamma(twice/2) as ``(rational, e)`` meaning ``rational * sqrt(pi)**e``.
+def gamma_half_exact(twice: int) -> PiRational:
+    """Gamma(twice/2) exactly: a rational, times sqrt(pi) when ``twice`` is odd.
 
-    ``twice`` must be a positive integer; e is 1 exactly when it is odd.
+    ``twice`` must be a positive integer.
     """
     if twice <= 0:
         raise ValueError("gamma argument must be positive")
     if twice % 2 == 0:
-        return Fraction(math.factorial(twice // 2 - 1)), 0
+        return PiRational(Fraction(math.factorial(twice // 2 - 1)))
     m = (twice - 1) // 2  # Gamma(m + 1/2)
-    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+    return PiRational(Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)),
+                      pi_twice=1)
 
 
 def _require_int(name: str, value) -> int:
@@ -99,19 +100,11 @@ def volume_hs(field: str, n: int) -> PiRational:
     if f == "R":
         # sqrt(N) 2^N (2pi)^(N(N-1)/4) Gamma((N+1)/2) prod Gamma(1+i/2)
         #   / (Gamma(N(N+1)/2) Gamma(1/2))
-        two_twice = n * (n - 1) // 2 + 2 * n   # exponent of sqrt(2)
-        pi_twice = n * (n - 1) // 2            # exponent of sqrt(pi)
-        coeff = Fraction(1)
-        g, e = gamma_half_exact(n + 1)
-        coeff *= g
-        pi_twice += e
-        for i in range(1, n + 1):
-            g, e = gamma_half_exact(i + 2)     # Gamma(1 + i/2)
-            coeff *= g
-            pi_twice += e
-        coeff /= math.factorial(n * (n + 1) // 2 - 1)
-        pi_twice -= 1                          # / Gamma(1/2)
-        return PiRational(coeff, pi_twice=pi_twice, radicand=n * 2 ** two_twice)
+        t = n * (n - 1) // 2
+        lead = PiRational(Fraction(2 ** n), pi_twice=t, radicand=n * 2 ** t)
+        gammas = math.prod(gamma_half_exact(i + 2) for i in range(1, n + 1))
+        return (lead * gamma_half_exact(n + 1) * gammas
+                / (gamma_half_exact(n * (n + 1)) * gamma_half_exact(1)))
     raise ValueError(f"unsupported field tag {field!r} (HS volumes cover R and C)")
 
 
@@ -125,15 +118,13 @@ def milz_strunz_volume(m: int, r: float) -> tuple[PiRational, float]:
         raise ValueError("requires m >= 2")
     if not 0.0 <= r <= 1.0:
         raise ValueError("Bloch radius must lie in [0, 1]")
-    two_twice = 2 * (6 * m * m - m) - 23
-    pi_twice = 2 * (2 * m * m - m) - 3
-    coeff = Fraction(math.prod(math.factorial(k - 1) for k in range(1, 2 * m + 1)))
-    g, e = gamma_half_exact(4 * m * m + 1)     # Gamma(1/2 + 2 m^2)
-    coeff *= g
-    pi_twice += e
-    coeff /= math.factorial(4 * m * m - 1)
-    coeff /= math.factorial(2 * m * m - 2)
-    v0 = PiRational(coeff, pi_twice=pi_twice, radicand=m * 2 ** two_twice)
+    # sqrt(m) 2^(6m^2-m-23/2) pi^(2m^2-m-3/2) prod_{k<=2m} Gamma(k)
+    #   Gamma(2m^2+1/2) / (Gamma(4m^2) Gamma(2m^2-1))
+    lead = PiRational(Fraction(1), pi_twice=2 * (2 * m * m - m) - 3,
+                      radicand=m * 2 ** (2 * (6 * m * m - m) - 23))
+    gammas = math.prod(gamma_half_exact(2 * k) for k in range(1, 2 * m + 1))
+    v0 = (lead * gammas * gamma_half_exact(4 * m * m + 1)
+          / (gamma_half_exact(8 * m * m) * gamma_half_exact(4 * m * m - 2)))
     profile = (1.0 - r * r) ** (2 * (m * m - 1))
     return v0, profile
 
@@ -147,7 +138,7 @@ def p_2qubits(k: int) -> Fraction:
     k = _require_int("k", k)
     if k < -2:
         raise ValueError("formula domain is k >= -2")
-    g, _ = gamma_half_exact(2 * k + 7)         # Gamma(k + 7/2) / sqrt(pi)
+    g = gamma_half_exact(2 * k + 7).coefficient   # Gamma(k + 7/2) / sqrt(pi)
     num = 3 * 4 ** (k + 3) * (2 * k * (k + 7) + 25)
     frac = num * g * math.factorial(2 * k + 8) / Fraction(math.factorial(3 * k + 12))
     return 1 - frac
@@ -158,7 +149,7 @@ def p_2rebits(k: int) -> Fraction:
     k = _require_int("k", k)
     if k < -1:
         raise ValueError("formula domain is k >= -1")
-    g, _ = gamma_half_exact(4 * k + 9)         # Gamma(2k + 9/2) / sqrt(pi)
+    g = gamma_half_exact(4 * k + 9).coefficient   # Gamma(2k + 9/2) / sqrt(pi)
     frac = (4 ** (k + 1) * (8 * k + 15) * math.factorial(k + 1) * g
             / Fraction(math.factorial(3 * k + 6)))
     return 1 - frac
@@ -170,7 +161,7 @@ def p_2quaterbits(k: int) -> Fraction:
     if k < 0:
         raise ValueError("formula domain is k >= 0")
     poly = k * (k * (2 * k * (k + 21) + 355) + 1452) + 2430
-    g, _ = gamma_half_exact(2 * k + 13)        # Gamma(k + 13/2) / sqrt(pi)
+    g = gamma_half_exact(2 * k + 13).coefficient  # Gamma(k + 13/2) / sqrt(pi)
     frac = (4 ** (k + 6) * poly * g * math.factorial(2 * k + 14)
             / Fraction(3 * math.factorial(3 * k + 21)))
     return 1 - frac
@@ -231,9 +222,10 @@ def chi_catalog(d: int, k, eps, family: str = "full"):
     """Closed-form separability function chi_{d,k}(eps).
 
     Catalog coverage: d = 2 for any rational k > -3 (general closed form);
-    d = 4 for k in {0, 1}; and the X-state reduction eps**d for any d
-    (``family="xstate"``).  Anything else raises :class:`CatalogMiss` to
-    signal that the numeric constrained integration must be used.
+    d = 4 for k in {0, 1} (k = 0 is :func:`master_chi`); and the X-state
+    reduction eps**d for any d (``family="xstate"``).  Anything else raises
+    :class:`CatalogMiss` to signal that the numeric constrained integration
+    must be used.
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
     outside [0, 1], NaN included, with ValueError.
@@ -254,11 +246,10 @@ def chi_catalog(d: int, k, eps, family: str = "full"):
         return float(out) if scalar else out
     if d == 4:
         if k == 0:
-            out = e2 * e2 * (15 * e2 * e2 - 64 * e2 + 84) / 35
-        elif k == 1:
-            out = e2 * e2 * (-9 * e2 ** 3 + 55 * e2 * e2 - 125 * e2 + 100) / 21
-        else:
+            return master_chi(4, eps)
+        if k != 1:
             raise CatalogMiss(f"no quaternionic closed form for k={k}")
+        out = e2 * e2 * (-9 * e2 ** 3 + 55 * e2 * e2 - 125 * e2 + 100) / 21
         return float(out) if scalar else out
     raise CatalogMiss(f"no catalog entry for d={d}")
 
@@ -303,11 +294,11 @@ def master_term(d: int, k: int, eps):
     eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`.  At k = 0, against
     the tests' 50-digit values (to eps = 0.999999 at d = 1, 3, 1 - 1e-12
     above), its worst relative errors were 8.4e-16 (d = 1, 3), 8.9e-16 (5),
-    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13).  Twice the
-    term rounds above 1 just below eps = 1 (by up to 1.4e-13 at d = 13),
-    which :func:`master_chi` clips.  At eps = 1 the
-    series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
+    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13).  At eps = 1
+    the series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
     which Dixon's theorem sums so that the term is exactly 1/2 for all (d, k).
+    The term never decreases in eps (its region grows), so it is clipped at
+    1/2, which rounding exceeds just below eps = 1 (by up to 1.6e-13).
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
     outside [0, 1], NaN included, with ValueError.
@@ -336,6 +327,7 @@ def master_term(d: int, k: int, eps):
         scale = (math.factorial(d) * math.factorial(d + k) ** 2
                  / (2 * math.gamma(d / 2 + 1) * math.gamma(d / 2 + k + 1)))
         out[summed] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
+    out = np.minimum(out, 0.5)
     return float(out) if scalar else out
 
 
@@ -371,7 +363,6 @@ def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
 
 def master_chi(d: int, eps):
     """Hilbert-Schmidt master formula chi_{d,0}(eps) for positive integer d:
-    twice :func:`master_term` at k = 0, so exactly 1 at eps = 1, clipped to
-    at most 1, as a probability is."""
-    chi = 2 * master_term(d, 0, eps)
-    return min(chi, 1.0) if isinstance(chi, float) else np.minimum(chi, 1.0)
+    twice :func:`master_term` at k = 0, so exactly 1 at eps = 1 and never
+    above it."""
+    return 2 * master_term(d, 0, eps)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formulas import volume_lebesgue
-from .primes import factorize
 from .values import PiRational, PrimeFactorization
 
 
@@ -39,25 +38,23 @@ def _pf(*pairs: tuple[int, int]) -> PrimeFactorization:
     return PrimeFactorization(tuple(pairs))
 
 
-# (label, total-volume args, separability probability, printed numerator,
-#  printed denominator, printed factorization of the coefficient q (as the
-#  denominator's factor list; numerator primes enter with positive sign))
-_TOTAL_ROWS = [
-    ("complex N=4 volume", ("C", 4), 1, 108972864000,
+# (label, total-volume args, separability probability (1 for a total
+#  volume), printed numerator, printed denominator, printed factorization of
+#  the coefficient (numerator primes with positive exponents, denominator
+#  primes with negative ones))
+_ROWS = [
+    ("complex N=4 volume", ("C", 4), 1, 1, 108972864000,
      _pf((2, -9), (3, -5), (5, -3), (7, -2), (11, -1), (13, -1))),
-    ("complex N=6 volume", ("C", 6), 1, 298991549953302804677854494720000000,
+    ("complex N=6 volume", ("C", 6), 1, 1, 298991549953302804677854494720000000,
      _pf((2, -24), (3, -12), (5, -7), (7, -5), (11, -3), (13, -2), (17, -2),
          (19, -1), (23, -1), (29, -1), (31, -1))),
-    ("real l=2 volume", ("R", 2), 1, 967680,
+    ("real l=2 volume", ("R", 2), 1, 1, 967680,
      _pf((2, -10), (3, -3), (5, -1), (7, -1))),
-    ("real l=3 volume", ("R", 3), 1, 1730063650258944000,
+    ("real l=3 volume", ("R", 3), 1, 1, 1730063650258944000,
      _pf((2, -23), (3, -6), (5, -3), (7, -2), (11, -1), (13, -1), (17, -1), (19, -1))),
-    ("quaternionic N=4 volume", ("H", 4), 1, 315071454005160652800000,
+    ("quaternionic N=4 volume", ("H", 4), 1, 1, 315071454005160652800000,
      _pf((2, -15), (3, -10), (5, -5), (7, -3), (11, -2), (13, -2), (17, -1),
          (19, -1), (23, -1))),
-]
-
-_SEPARABLE_ROWS = [
     ("complex N=4 separable volume", ("C", 4), Fraction(8, 33), 1, 449513064000,
      _pf((2, -6), (3, -6), (5, -3), (7, -2), (11, -2), (13, -1))),
     # reported decimal denominator repeats the total-volume value verbatim,
@@ -77,18 +74,6 @@ _SEPARABLE_ROWS = [
 ]
 
 
-def _audit_row(label, vol_args, prob, num, den, printed_pf) -> ReportedVolume:
-    exact = volume_lebesgue(*vol_args) * prob
-    decimal_ok = exact.coefficient == Fraction(num, den)
-    fact = factorize(exact)
-    exact_joint = dict(fact.numerator.factors)
-    for p, e in fact.denominator.factors:
-        exact_joint[p] = exact_joint.get(p, 0) - e
-    printed_joint = dict(printed_pf.factors)
-    fact_ok = exact_joint == printed_joint and fact.sign == 1
-    return ReportedVolume(label, den, num, printed_pf, exact, decimal_ok, fact_ok)
-
-
 def reported_value_audit() -> list[ReportedVolume]:
     """Recompute every reported volume constant and flag the mismatches.
 
@@ -98,8 +83,9 @@ def reported_value_audit() -> list[ReportedVolume]:
     ones check out on both sides.
     """
     rows = []
-    for label, args, num, den, pf in _TOTAL_ROWS:
-        rows.append(_audit_row(label, args, 1, num, den, pf))
-    for label, args, prob, num, den, pf in _SEPARABLE_ROWS:
-        rows.append(_audit_row(label, args, prob, num, den, pf))
+    for label, args, prob, num, den, printed in _ROWS:
+        exact = volume_lebesgue(*args) * prob
+        rows.append(ReportedVolume(label, den, num, printed, exact,
+                                   exact.coefficient == Fraction(num, den),
+                                   printed.value() == exact.coefficient))
     return rows

@@ -10,6 +10,7 @@ digit for digit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,10 +132,9 @@ class PrimeFactorization:
 
     def value(self) -> Fraction:
         """Reconstruct the exact rational this factorization represents."""
-        out = Fraction(1)
-        for p, e in self.factors:
-            out *= Fraction(p) ** e
-        return out
+        num = math.prod(p ** e for p, e in self.factors if e > 0)
+        den = math.prod(p ** -e for p, e in self.factors if e < 0)
+        return Fraction(num, den)
 
     def format(self) -> str:
         if not self.factors:

@@ -504,18 +504,21 @@ def is_perfect_power(n: int) -> bool:
     return False
 
 
-def _smooth_values(primes: tuple[int, ...], max_value: int, max_exp: int) -> list[int]:
-    values = [1]
+def _smooth_values(primes: tuple[int, ...], max_value: int,
+                   max_exp: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every q <= max_value that is a product of ``primes`` to exponents at
+    most max_exp, ascending, each with its exponent of each prime."""
+    values = [(1, ())]
     for p in primes:
         extended = []
-        for v in values:
+        for v, exps in values:
             pe = 1
-            for _ in range(max_exp):
+            for e in range(1, max_exp + 1):
                 pe *= p
                 if v * pe > max_value:
                     break
-                extended.append(v * pe)
-        values.extend(extended)
+                extended.append((v * pe, exps + (e,)))
+        values = [(v, exps + (0,)) for v, exps in values] + extended
     return sorted(values)
 
 
@@ -539,15 +542,16 @@ def conjecture_search(lo, hi, primes, max_denominator: int,
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     out = []
-    for q in _smooth_values(primes, max_denominator, max_exponent):
+    for q, exps in _smooth_values(primes, max_denominator, max_exponent):
+        support = tuple(pr for pr, e in zip(primes, exps) if e)
+        # q = prod pr^e is a perfect power iff gcd(exponents) != 1 (q = 1 too)
+        q_score = len(support) - int(math.gcd(*exps) != 1)
         p_min = -((-lo_f.numerator * q) // lo_f.denominator)  # ceil(lo*q)
         p_max = (hi_f.numerator * q) // hi_f.denominator      # floor(hi*q)
         for p in range(max(p_min, 1), p_max + 1):
             if math.gcd(p, q) != 1:
                 continue
-            support = tuple(pr for pr in primes if q % pr == 0)
-            score = (len(support) + len(str(p))
-                     - int(is_perfect_power(p)) - int(is_perfect_power(q)))
+            score = q_score + len(str(p)) - int(is_perfect_power(p))
             out.append(ConjectureCandidate(p, q, support, score))
             if len(out) > CANDIDATE_CAP:
                 raise ValueError(

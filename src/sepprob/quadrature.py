@@ -217,20 +217,19 @@ def extended_master_parts(d: int, k: int, eps: float,
 
 
 def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
-    """chi_{d,k}(eps) as the sum of :func:`extended_master_parts`.
+    """chi_{d,k}(eps) as the sum of :func:`extended_master_parts`, clipped to
+    at most 1, as a probability is.
 
     Even d makes the region-B integrand polynomial, so the rule converges
     to roundoff.  Odd d leaves the factor (1 - r)^(1/2) (1 - c)^(1/2) in it,
     and the error falls only algebraically in ``nodes`` (about 1e-7 at 120).
     """
     t1, t2 = extended_master_parts(d, k, eps, nodes)
-    return t1 + t2
+    return min(t1 + t2, 1.0)
 
 
-def extended_master(d: int, k: int, eps: float, nodes: int = 80) -> float:
-    """chi_{d,k}(eps) via the extended master decomposition: :func:`chi_numeric`
-    at 80 nodes by default."""
-    return chi_numeric(d, k, eps, nodes)
+# chi_{d,k} by the extended master decomposition is chi_numeric
+extended_master = chi_numeric
 
 
 def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,

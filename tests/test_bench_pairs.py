@@ -58,3 +58,17 @@ def test_an_incorrect_run_stops_the_script_and_writes_no_record(tmp_path, monkey
                           "--out", str(out)])
     assert "deterministic seed 12 change" in str(exc.value.code)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["9", "6110-6101"])
+def test_fewer_than_two_seeds_are_refused_before_any_run(tmp_path, monkeypatch, seeds):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "extract", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *a: calls.append(a))
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "a", "--change", "b", "--workload", "deterministic",
+                          "--seeds", seeds, "--label", "x", "--change-note", "x",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()

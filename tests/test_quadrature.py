@@ -108,6 +108,16 @@ def test_chi_numeric_monotone_in_k():
             assert all(b > a for a, b in zip(catalog, catalog[1:]))
 
 
+def test_chi_numeric_never_exceeds_one():
+    # T1 + T2 rounded up to 1 + 9e-14 (d = 13, k = 3) near eps = 1, and to
+    # 1 + 5e-8 at d = 1 (the odd-d rule's error); chi is a probability
+    for eps in (1 - 1e-16, 1 - 1e-15, 1 - 1e-13, 1 - 1e-12, 1 - 1e-10, 1.0):
+        for d in range(1, 14):
+            for k in range(4):
+                assert qd.chi_numeric(d, k, eps) <= 1.0, (d, k, eps)
+                assert qd.extended_master_parts(d, k, eps)[0] <= 0.5, (d, k, eps)
+
+
 def test_chi_numeric_odd_d_against_master():
     # odd d has algebraic (half-power) integrands; tolerance is looser
     for eps in (0.3, 0.5, 0.8):

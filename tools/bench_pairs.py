@@ -124,6 +124,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change-note", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:  # a side's quartiles need two runs
+        ap.error(f"--seeds names {len(args.seeds)} seed(s); at least two are needed")
 
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
