@@ -178,6 +178,10 @@ def _numeric_k(k, eps: float) -> int:
     return int(k)
 
 
+# Gauss-Legendre nodes per axis of the region-B rule, for every caller
+_PT_NODES = 120
+
+
 def _pt_region(d: int, k: int, eps: float, nodes: int) -> float:
     """The unnormalised chi_{d,k} integral over region B, r23 in [eps r, eps],
     where the partial transpose's constraint binds."""
@@ -198,7 +202,7 @@ def _pt_region(d: int, k: int, eps: float, nodes: int) -> float:
 
 
 def extended_master_parts(d: int, k: int, eps: float,
-                          nodes: int = 80) -> tuple[float, float]:
+                          nodes: int = _PT_NODES) -> tuple[float, float]:
     """The two summands T1 + T2 = chi_{d,k}(eps), for integers d >= 1 and
     k >= 0 and eps in [0, 1].
 
@@ -216,7 +220,7 @@ def extended_master_parts(d: int, k: int, eps: float,
     return master_term(d, k, eps), _pt_region(d, k, eps, nodes) / _chi_norm(d, k)
 
 
-def chi_numeric(d: int, k: int, eps: float, nodes: int = 120) -> float:
+def chi_numeric(d: int, k: int, eps: float, nodes: int = _PT_NODES) -> float:
     """chi_{d,k}(eps) as the sum of :func:`extended_master_parts`, clipped to
     at most 1, as a probability is.
 

@@ -243,7 +243,10 @@ def test_chi_catalog_misses():
 def test_master_chi_even_matches_catalog():
     eps = np.linspace(0.0, 1.0, 99)
     assert np.max(np.abs(master_chi(2, eps) - chi_catalog(2, 0, eps))) < 1e-12
-    assert np.max(np.abs(master_chi(4, eps) - chi_catalog(4, 0, eps))) < 1e-12
+    e2 = eps * eps
+    quaternionic = e2 * e2 * (15 * e2 * e2 - 64 * e2 + 84) / 35   # chi_{4,0}
+    assert np.max(np.abs(master_chi(4, eps) - quaternionic)) < 1e-12
+    assert np.max(np.abs(chi_catalog(4, 0, eps) - quaternionic)) < 1e-12
     assert master_chi(2, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
