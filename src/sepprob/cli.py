@@ -169,7 +169,9 @@ def _cmd_quadrature(args) -> None:
     k = Fraction(args.k)
     rows = []
     if args.eta is not None:
-        chi = quadrature.chi_from_catalog(args.d, k)
+        if args.d != 2:  # u(eta) fixes the two-qubit diagonal power
+            raise ValueError("--eta is the two-qubit interpolation; it takes --d 2")
+        chi = quadrature.chi_from_catalog(2, k)
         val = quadrature.u_eta(float(Fraction(args.eta)), chi, n_outer=args.nodes,
                                n_inner=max(args.nodes // 2, 16))
         rows.append(("", val, "", ""))
@@ -273,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:  # an input the library refuses: a usage error
+    except (ValueError, CatalogMiss) as exc:  # a refused input: a usage error
         parser.error(str(exc))
     return 0
 

@@ -45,6 +45,7 @@ CHUNK_SAMPLES = 65_536
 CI_LEVEL = 0.95
 CP_FALLBACK_HITS = 30  # below this many hits (or misses), Wald is unreliable
 CANDIDATE_CAP = 200_000  # conjecture_search refuses a lattice with more candidates
+BINS_CAP = 10_000  # estimate_chi_empirical's bins, a reference chi each
 # an experiment chunk row's counts, in row order; tallies are their sums
 _COUNTS = ("samples", "ppt_hits", "johnston_hits", "det_gt_hits_given_ppt",
            "neg_eig_histogram")
@@ -434,6 +435,8 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
     """
     if bins < 10:
         raise ValueError("need at least 10 bins")
+    if bins > BINS_CAP:
+        raise ValueError(f"at most {BINS_CAP} bins: each costs one reference chi")
     _check_threads(threads)
     spec = SamplerSpec(field=field, n=4, split=(2, 2), k=k, seed=seed)
     grid = _chunk_grid(samples, streams)

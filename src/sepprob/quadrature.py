@@ -15,15 +15,14 @@ Three integration problems live here:
 Endpoint weight singularities (fractional exponents > -1) are absorbed by
 Gauss-Jacobi rules; the integrable blowup some chi functions have as the
 two arguments coalesce (eps -> 1) is flattened by a square-root
-substitution of the inner variable near the diagonal.
+substitution of the inner variable near the diagonal, which every chi
+takes.  A chi function is any callable of eps, vectorised over arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -32,32 +31,18 @@ from .exactmath import chi_catalog, master_chi
 from .exactmath.formulas import master_term
 
 
-@dataclass
-class ChiFunction:
-    """A separability function eps -> chi(eps) on [0, 1].
-
-    ``singular_at_one`` marks a chi that blows up (integrably) at eps = 1,
-    for which the ratio integrals flatten the diagonal.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    singular_at_one: bool = False
-
-    def __call__(self, eps):
-        return self.fn(eps)
-
-
-def chi_from_catalog(d: int, k) -> ChiFunction:
-    """Wrap a closed-form catalog entry (raises CatalogMiss if absent)."""
+def chi_from_catalog(d: int, k):
+    """The closed-form catalog entry as a function of eps (raises
+    CatalogMiss if absent)."""
     chi_catalog(d, k, 0.5)  # probe coverage early
-    # (1-eps^2)^(k+1) blows up at eps = 1
-    return ChiFunction(lambda e: chi_catalog(d, k, e), d == 2 and float(k) < -1.0)
+    return lambda e: chi_catalog(d, k, e)
 
 
-def chi_from_master(d: int) -> ChiFunction:
-    """Wrap the (k = 0) master formula: a polynomial for even d, and for odd d
-    the 3F2 series, save d = 1 on eps >= 1/4, which is in closed form."""
-    return ChiFunction(lambda e: master_chi(d, e))
+def chi_from_master(d: int):
+    """The (k = 0) master formula as a function of eps: a polynomial for
+    even d, and for odd d the 3F2 series, save d = 1 on eps >= 1/4, which
+    is in closed form."""
+    return lambda e: master_chi(d, e)
 
 
 @lru_cache(maxsize=128)
@@ -71,19 +56,17 @@ def _gj(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return roots_jacobi(n, alpha, beta)
 
 
-def _triangle_nodes(exponent: float, d_power: int, n_outer: int, n_inner: int,
-                    diagonal_sub: bool):
-    """Nodes, weights and eps values for the ordered-square ratio integrals.
+def _triangle_nodes(exponent: float, d_power: int, chi, n_outer: int,
+                    n_inner: int) -> float:
+    """The ordered-square ratio integral of chi on its one node set.
 
-    Returns flat arrays (eps, weight); the numerator of the probability is
-    sum(weight * chi(eps)) and the denominator sum(weight).  The weight
-    (1-x^2)^exponent is absorbed into the outer Gauss-Jacobi rule.  The
-    inner integral over y in [-1, x] splits at the midpoint m: on [-1, m]
-    the substitution 1 + y = (1+m) s^2 makes chi factors eps^d smooth for
-    odd d and turns the (1+y)^exponent weight into a Jacobi one in s; on
-    [m, x] either a plain Gauss-Legendre map or (for chi functions that
-    blow up at eps = 1) the substitution y = x - (x-m) t^2, which flattens
-    any integrable diagonal singularity.
+    The numerator is sum(weight * chi(eps)) and the denominator
+    sum(weight).  The weight (1-x^2)^exponent is absorbed into the outer
+    Gauss-Jacobi rule.  The inner integral over y in [-1, x] splits at the
+    midpoint m: on [-1, m] the substitution 1 + y = (1+m) s^2 makes chi
+    factors eps^d smooth for odd d and turns the (1+y)^exponent weight
+    into a Jacobi one in s; on [m, x] the substitution y = x - (x-m) t^2
+    flattens any integrable singularity of chi at the diagonal eps = 1.
     """
     eta = exponent
     x, wx = _gj(n_outer, eta, eta)
@@ -95,34 +78,18 @@ def _triangle_nodes(exponent: float, d_power: int, n_outer: int, n_inner: int,
     seg1_scale = ((1.0 + x) / 2.0) ** (1.0 + eta) * 2.0 ** (-2.0 * eta - 1.0)
     w1 = seg1_scale[:, None] * wj[None, :] * (1.0 - y1) ** eta \
         * (x[:, None] - y1) ** d_power
-    # segment 2: y in [m, x], h = (x+1)/2
-    h = (1.0 + x) / 2.0
+    # segment 2: y in [m, x], y = x - h t^2 with h = x - m = (x+1)/2
     t, wt = _gl01(n_inner)
-    if diagonal_sub:
-        y2 = x[:, None] - h[:, None] * t[None, :] ** 2
-        w2 = (wt[None, :] * 2.0 * h[:, None] * t[None, :]
-              * ((1.0 - y2) * (1.0 + y2)) ** eta
-              * (h[:, None] * t[None, :] ** 2) ** d_power)
-    else:
-        y2 = x[:, None] - h[:, None] * (1.0 - t[None, :])
-        w2 = (wt[None, :] * h[:, None]
-              * ((1.0 - y2) * (1.0 + y2)) ** eta
-              * (h[:, None] * (1.0 - t[None, :])) ** d_power)
+    h = (1.0 + x[:, None]) / 2.0
+    y2 = x[:, None] - h * t ** 2
+    w2 = wt * 2.0 * h * t * ((1.0 - y2) * (1.0 + y2)) ** eta * (h * t ** 2) ** d_power
     y = np.concatenate([y1, y2], axis=1)
     w = np.concatenate([w1, w2], axis=1) * wx[:, None]
     e2 = (1.0 - x[:, None]) * (1.0 + y) / ((1.0 + x[:, None]) * (1.0 - y))
     eps = np.sqrt(np.clip(e2, 0.0, 1.0))
-    return eps.ravel(), w.ravel()
-
-
-def _triangle_ratio(exponent: float, d_power: int, chi,
-                    n_outer: int, n_inner: int) -> float:
-    diagonal_sub = getattr(chi, "singular_at_one", False)
-    eps, w = _triangle_nodes(exponent, d_power, n_outer, n_inner, diagonal_sub)
-    vals = np.asarray(chi(eps), dtype=float)
-    num = float(np.dot(w, vals))
-    den = float(np.sum(w))
-    return num / den
+    del y1, w1, y2, w2, y, e2  # else they stay live, ~1.5 MB, while chi runs
+    vals = np.asarray(chi(eps.ravel()), dtype=float)
+    return float(np.dot(w.ravel(), vals)) / float(np.sum(w))
 
 
 def sep_prob_general(d: int, k, chi, n_outer: int = 200,
@@ -131,16 +98,15 @@ def sep_prob_general(d: int, k, chi, n_outer: int = 200,
 
     Evaluates the ratio of the two ordered-square double integrals with
     weight exponent d + k and diagonal power d, the chi function applied
-    to the singular-value ratio sqrt((1-x)(1+y)/((1+x)(1-y))).  The
-    diagonal substitution (needed when chi blows up at eps = 1) follows
-    the ChiFunction's ``singular_at_one`` flag.
+    to the singular-value ratio sqrt((1-x)(1+y)/((1+x)(1-y))).  ``chi``
+    is any function of eps, vectorised over arrays.
     """
     if d not in (1, 2, 4):
         raise ValueError("d must be 1, 2 or 4")
     exponent = float(d + k)
     if exponent <= -1.0:
         raise ValueError("requires d + k > -1 for integrability")
-    return _triangle_ratio(exponent, d, chi, n_outer, n_inner)
+    return _triangle_nodes(exponent, d, chi, n_outer, n_inner)
 
 
 def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120) -> float:
@@ -154,7 +120,7 @@ def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120) -> float:
         return 0.0
     if eta < -1:
         raise ValueError("requires eta >= -1")
-    return _triangle_ratio(float(eta), 2, chi, n_outer, n_inner)
+    return _triangle_nodes(float(eta), 2, chi, n_outer, n_inner)
 
 
 # ---------------------------------------------------------------------------

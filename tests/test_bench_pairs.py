@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: seed lists, pair summaries, and refused runs."""
+"""tools/bench_pairs.py: seed lists, pair summaries, and refused or failed runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,30 @@ def test_fewer_than_two_seeds_are_refused_before_any_run(tmp_path, monkeypatch, 
                           "--out", str(out)])
     assert exc.value.code == 2
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("returncode,stdout", [(1, ""), (0, "done, no verdict\n")])
+def test_a_crashed_or_silent_run_is_named_and_writes_no_record(tmp_path, monkeypatch,
+                                                               returncode, stdout):
+    contract = {"end_to_end": [{"name": "primary_s", "better": "lower"}]}
+
+    def fake_extract(rev, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text(json.dumps(contract))
+        return {"rev": rev, "src_tree": rev}
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout,
+                                           stderr="Traceback\nValueError: boom\n")
+
+    monkeypatch.setattr(bench_pairs, "extract", fake_extract)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "a", "--change", "b", "--workload", "deterministic",
+                          "--seeds", "11-12", "--label", "x", "--change-note", "x",
+                          "--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith(f"deterministic seed 11 parent: exit code {returncode}")
+    assert message.endswith("ValueError: boom")
+    assert not out.exists()

@@ -610,6 +610,13 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "threads 0 must be at least 1"),
     (["exact", "--formula", "master", "--d", "1", "--epsilon", "nan"],
      "eps must lie in [0, 1]"),
+    (["exact", "--formula", "chi", "--d", "3"], "no catalog entry for d=3"),
+    (["exact", "--formula", "chi", "--d", "4", "--k", "2"],
+     "no quaternionic closed form for k=2"),
+    (["quadrature", "--d", "4", "--eta", "2"],
+     "--eta is the two-qubit interpolation; it takes --d 2"),
+    (["chi-fit", "--field", "C", "--bins", "10001", "--samples", "100"],
+     "at most 10000 bins: each costs one reference chi"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main

@@ -45,6 +45,12 @@ def test_u_eta_reference_values():
         pytest.approx((21 * math.pi - 64) / (21 * math.pi), abs=1e-8)
 
 
+def test_a_plain_chi_that_blows_up_at_one_gets_the_accurate_rule():
+    # (1 - eps^2)^(k+1) at k = -5/2 is infinite at eps = 1; no wrapper marks it
+    val = qd.u_eta(-0.5, lambda e: chi_catalog(2, Fraction(-5, 2), e))
+    assert abs(val - (21 * math.pi - 64) / (21 * math.pi)) < 1e-12
+
+
 def test_u_eta_closed_form_cross_validation():
     # the quadrature route against the independent closed-form evaluation
     from sepprob.exactmath import u_closed

@@ -6,7 +6,8 @@ directory and runs ``perfbench/run.py --trace 0`` there, one seed per pair,
 swapping the side that runs first each pair; the run length is the benchmark's
 own default.  A run whose verdict line reads ``"correct": false`` stops the
 script with a non-zero status, naming the workload, seed and side, before any
-record is written.  Run from inside the repository, one call per workload:
+record is written; so does a run that exits non-zero or prints no JSON result.
+Run from inside the repository, one call per workload:
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> \\
         --workload mc_qubit --seeds 6101-6110 --label <label> \\
@@ -56,11 +57,21 @@ def extract(rev: str, into: Path) -> dict:
 
 
 def run_side(checkout: Path, workload: str, seed: int) -> dict:
-    """The last stdout line of one benchmark run: correct, attempted, failed, metrics."""
+    """The last stdout line of one benchmark run: correct, attempted, failed,
+    metrics.  A run that exits non-zero or ends on no JSON line stops the
+    script, naming the run, its exit code and the last lines of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    tail = "\n".join(out.stderr.strip().splitlines()[-10:])
+    raise SystemExit(f"{workload} seed {seed} {checkout.name}: exit code "
+                     f"{out.returncode}, no JSON result; no record written\n{tail}")
 
 
 def summarise(runs: dict[str, list[float]], better: str) -> dict:
