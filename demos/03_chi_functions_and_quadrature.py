@@ -24,7 +24,7 @@ print("=== chi_{d,k}(eps): catalog vs constrained integration vs master ===")
 eps_grid = np.array([0.2, 0.5, 0.8, 1.0])
 for d, k in [(2, 0), (2, 1), (4, 0), (4, 1)]:
     cat = chi_catalog(d, k, eps_grid)
-    num = np.array([qd.chi_numeric(d, k, float(e)) for e in eps_grid])
+    num = qd.chi_numeric(d, k, eps_grid)
     line = f"d={d} k={k}:  catalog {np.array2string(cat, precision=6)}"
     line += f"  |numeric-catalog| < {np.max(np.abs(num - cat)):.1e}"
     if k == 0:
@@ -67,7 +67,7 @@ for d, k, e in [(2, 1, 0.5), (2, 2, 0.5), (4, 1, 0.7)]:
     got = qd.extended_master(d, k, e)
     print(f"d={d} k={k} eps={e}: T1+T2 = {got:.10f} vs catalog "
           f"{chi_catalog(d, k, e):.10f}")
-got = qd.extended_master(1, 0, 0.5, nodes=400)
+got = qd.extended_master(1, 0, 0.5)
 print(f"d=1 k=0 eps=0.5: T1+T2 = {got:.10f} vs master {master_chi(1, 0.5):.10f}")
 
 print("\n=== X-state reduction ===")

@@ -14,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import quadrature
 from .exactmath import (
     CatalogMiss,
@@ -167,26 +169,32 @@ def _eps_grid(text: str) -> list[float]:
 
 def _cmd_quadrature(args) -> None:
     k = Fraction(args.k)
-    rows = []
+    if args.method == "qmc" and args.nodes is not None:
+        raise ValueError("--method qmc reads no --nodes")
     if args.eta is not None:
         if args.d != 2:  # u(eta) fixes the two-qubit diagonal power
             raise ValueError("--eta is the two-qubit interpolation; it takes --d 2")
+        if args.epsilon is not None or args.eps_grid is not None or args.method == "qmc":
+            raise ValueError("--eta takes no --epsilon, --eps-grid or --method qmc")
+        rule = {} if args.nodes is None else {"n_outer": args.nodes,
+                                              "n_inner": max(args.nodes // 2, 16)}
         chi = quadrature.chi_from_catalog(2, k)
-        val = quadrature.u_eta(float(Fraction(args.eta)), chi, n_outer=args.nodes,
-                               n_inner=max(args.nodes // 2, 16))
-        rows.append(("", val, "", ""))
+        rows = [("", quadrature.u_eta(float(Fraction(args.eta)), chi, **rule), "", "")]
     else:
-        for eps in [args.epsilon] if args.epsilon is not None else args.eps_grid:
-            if args.method == "qmc":
-                val = quadrature.chi_numeric_qmc(args.d, k, eps)
-            else:
-                val = quadrature.chi_numeric(args.d, k, eps, nodes=args.nodes)
-            try:
-                ref = chi_catalog(args.d, k, eps)
-                err = abs(val - ref)
-            except CatalogMiss:
-                ref, err = "", ""
-            rows.append((eps, val, ref, err))
+        if args.epsilon is not None and args.eps_grid is not None:
+            raise ValueError("--epsilon and --eps-grid exclude each other")
+        eps = np.array([args.epsilon] if args.epsilon is not None
+                       else args.eps_grid or _eps_grid("0.1:1.0:0.1"))
+        if args.method == "qmc":
+            vals = np.array([quadrature.chi_numeric_qmc(args.d, k, e) for e in eps])
+        else:
+            vals = (quadrature.chi_numeric(args.d, k, eps) if args.nodes is None
+                    else quadrature.chi_numeric(args.d, k, eps, args.nodes))
+        try:
+            refs = chi_catalog(args.d, k, eps)
+            rows = zip(eps.tolist(), vals.tolist(), refs.tolist(), abs(vals - refs).tolist())
+        except CatalogMiss:
+            rows = ((e, v, "", "") for e, v in zip(eps.tolist(), vals.tolist()))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["epsilon", "value", "reference_value", "abs_err"])
@@ -260,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--k", default="0")
     p_quad.add_argument("--eta", default=None)
     p_quad.add_argument("--epsilon", type=float, default=None)
-    p_quad.add_argument("--eps-grid", type=_eps_grid, default="0.1:1.0:0.1",
-                        help="lo:hi:step")
+    p_quad.add_argument("--eps-grid", type=_eps_grid, help="lo:hi:step (default 0.1:1.0:0.1)")
     p_quad.add_argument("--method", choices=["gl", "qmc"], default="gl")
-    p_quad.add_argument("--nodes", type=int, default=120)
+    p_quad.add_argument("--nodes", type=int, help="Gauss nodes (default: each rule's own)")
     p_quad.add_argument("--out")
     p_quad.set_defaults(func=_cmd_quadrature)
 

@@ -298,7 +298,8 @@ def master_term(d: int, k: int, eps):
     the series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
     which Dixon's theorem sums so that the term is exactly 1/2 for all (d, k).
     The term never decreases in eps (its region grows), so it is clipped at
-    1/2, which rounding exceeds just below eps = 1 (by up to 1.6e-13).
+    1/2, which rounding exceeds just below eps = 1 (by up to 1.6e-13).  An
+    odd-d series past float64's range (k >= 170 at d = 1) is refused.
 
     Accepts scalar or ndarray eps; returns the same shape.  Refuses eps
     outside [0, 1], NaN included, with ValueError.
@@ -324,9 +325,16 @@ def master_term(d: int, k: int, eps):
     else:
         a = (-d / 2 - k, d / 2, float(d))
         b = (d / 2 + 1, 3 * d / 2 + k + 1)
-        scale = (math.factorial(d) * math.factorial(d + k) ** 2
-                 / (2 * math.gamma(d / 2 + 1) * math.gamma(d / 2 + k + 1)))
-        out[summed] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
+        # the scale rounds the exact integer over a float once.  Where the
+        # series' first term 1/(Gamma(b1) Gamma(b2)) underflows, the scale,
+        # over 5 times its reciprocal there, overflows: one OverflowError
+        # marks every (d, k) whose series float64 cannot hold
+        try:
+            scale = float(math.factorial(d) * math.factorial(d + k) ** 2
+                          / Fraction(2 * math.gamma(d / 2 + 1) * math.gamma(d / 2 + k + 1)))
+            out[summed] = e ** d * scale * hyper.hyp3f2_reg_series(a, b, e2)
+        except OverflowError:
+            raise ValueError(f"the odd-d series of d={d}, k={k} leaves float64's range") from None
     out = np.minimum(out, 0.5)
     return float(out) if scalar else out
 

@@ -444,19 +444,19 @@ def estimate_chi_empirical(field: str, k: int, bins: int, samples: int,
                      ("totals", "hits", "discarded"))
 
     d = 2 if field == "C" else 1
+    edges = [i / bins for i in range(bins + 1)]
+    mids = np.array([(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])
+    try:
+        refs = chi_catalog(d, k, mids)
+    except CatalogMiss:
+        refs = chi_numeric(d, k, mids) if k >= 0 else np.full(bins, np.nan)
     rows = []
-    for i in range(bins):
-        lo_edge, hi_edge = i / bins, (i + 1) / bins
-        mid = (lo_edge + hi_edge) / 2
+    for i, ref in enumerate(refs.tolist()):
         nb, hb = sums["totals"][i], sums["hits"][i]
         rate = hb / nb if nb else float("nan")
         ci = _conditional_ci(nb, hb)
-        try:
-            ref = chi_catalog(d, k, mid)
-        except CatalogMiss:
-            ref = chi_numeric(d, k, mid) if k >= 0 else float("nan")
         rows.append({
-            "bin_lo": lo_edge, "bin_hi": hi_edge, "n": nb, "rate": rate,
+            "bin_lo": edges[i], "bin_hi": edges[i + 1], "n": nb, "rate": rate,
             "ci_lo": ci[0], "ci_hi": ci[1], "chi_ref": ref,
             "residual": rate - ref if nb else float("nan"),
         })

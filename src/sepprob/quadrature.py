@@ -5,11 +5,11 @@ Three integration problems live here:
 * the (d, k)-parameterized double-integral separability probability over
   the ordered square -1 <= y <= x <= 1 with weight
   (1-x^2)^(d+k) (1-y^2)^(d+k) (x-y)^d, and its eta-interpolated variant;
-* chi_{d,k}(eps) for every d >= 1 and integer k >= 0 by the extended
-  master decomposition: the closed term (half the order-k master 3F2,
-  ``exactmath.formulas.master_term``) plus the 2D integral over the
-  region where the partial transpose's positivity constraint binds, its
-  innermost variable integrated in closed (incomplete-beta) form;
+* chi_{d,k}(eps) for every d >= 1, integer k >= 0 and an array of eps by
+  the extended master decomposition: the closed term (half the order-k
+  master 3F2, ``exactmath.formulas.master_term``) plus the integral over
+  the region where the partial transpose's positivity constraint binds,
+  its innermost variable in closed (incomplete-beta) form, on a triangle;
 * a quasi-random 3D oracle of the raw constrained integral.
 
 Endpoint weight singularities (fractional exponents > -1) are absorbed by
@@ -25,10 +25,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import betainc, roots_jacobi, roots_legendre
 
 from .exactmath import chi_catalog, master_chi
-from .exactmath.formulas import master_term
+from .exactmath.formulas import _eps_domain, master_term
 
 
 def chi_from_catalog(d: int, k):
@@ -127,50 +127,49 @@ def u_eta(eta, chi, n_outer: int = 200, n_inner: int = 120) -> float:
 # chi_{d,k} by the extended master decomposition
 # ---------------------------------------------------------------------------
 
-def _chi_norm(d: int, k: int) -> float:
-    """Normalizing constant: the unconstrained-positivity integral with the
-    k-th determinant power, divided out of the constrained numerator."""
-    return (math.gamma(d / 2) ** 3 * math.gamma(k + 1) * math.gamma(d / 2 + k + 1)
-            / (8.0 * math.gamma(d + k + 1) ** 2))
+def _log_chi_norm(d: int, k: int) -> float:
+    """Log of the normalizing constant: the unconstrained-positivity integral
+    with the k-th determinant power, divided out of the constrained numerator."""
+    return (3 * math.lgamma(d / 2) + math.lgamma(k + 1) + math.lgamma(d / 2 + k + 1)
+            - 2 * math.lgamma(d + k + 1) - math.log(8.0))
 
 
-def _numeric_k(k, eps: float) -> int:
-    """The integer k of a numeric chi_{d,k}(eps), refusing k or eps outside
-    the domain of the constrained integral."""
+def _numeric_k(k) -> int:
+    """The integer k of a numeric chi_{d,k}, refusing any other."""
     if k < 0 or int(k) != k:
         raise ValueError("numeric path requires integer k >= 0")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
     return int(k)
 
 
-# Gauss-Legendre nodes per axis of the region-B rule, for every caller
-_PT_NODES = 120
+# the region-B rule's Gauss nodes per axis, for every caller, and points per step
+_PT_NODES, _PT_CHUNK = 32, 1 << 18
 
 
-def _pt_region(d: int, k: int, eps: float, nodes: int) -> float:
-    """The unnormalised chi_{d,k} integral over region B, r23 in [eps r, eps],
-    where the partial transpose's constraint binds."""
+def _pt_region(d: int, k: int, eps: np.ndarray, nodes: int) -> np.ndarray:
+    """T2 of :func:`extended_master_parts` at each eps of a 1D array."""
+    alpha = 0.5 * (d % 2)
+    x, wx = _gj(nodes, alpha, 0.0)
+    s = (x[:, None] + 1.0) / 2.0
     t, wt = _gl01(nodes)
-    r = t[:, None]
-    wr = wt[:, None]
-    c = t[None, :]
-    wc = wt[None, :]
-    sigma = r + (1.0 - r) * c
-    a2 = (1.0 - r * r) * (1.0 - (eps * sigma) ** 2)
-    b2 = (1.0 - (eps * r) ** 2) * (1.0 - sigma * sigma)
-    q = np.zeros_like(a2)
-    for j in range(k + 1):
-        q += (math.comb(k, j) * (-1.0) ** j / (2 * j + d)
-              * a2 ** (k - j) * b2 ** (j + d / 2))
-    integrand_b = (r * eps * sigma) ** (d - 1) * q * eps * (1.0 - r)
-    return float(np.sum(wr * wc * integrand_b))
+    w = (wx[:, None] * 2.0 ** (-1.0 - alpha) * (1.0 - s) ** -alpha * s * wt
+         * (s * s * t) ** (d - 1)).ravel()
+    r2, s2 = ((s * t) ** 2).ravel(), np.repeat(s * s, nodes)
+    out = np.empty_like(eps)
+    step = max(_PT_CHUNK // w.size, 1)
+    for lo in range(0, eps.size, step):
+        e2 = eps[lo:lo + step, None] ** 2
+        a = (1.0 - r2) * (1.0 - e2 * s2)
+        b_over_a = np.minimum((1.0 - e2 * r2) * (1.0 - s2) / a, 1.0)  # b <= a, up to rounding
+        out[lo:lo + step] = np.sum(a ** (k + d / 2) * betainc(d / 2, k + 1, b_over_a) * w, axis=1)
+    # (1/2) B(d/2, k+1) over the normalizing constant
+    log_c = (math.lgamma(d / 2) + math.lgamma(k + 1) - math.lgamma(d / 2 + k + 1)
+             - math.log(2.0) - _log_chi_norm(d, k))
+    return eps ** d * math.exp(log_c) * out
 
 
-def extended_master_parts(d: int, k: int, eps: float,
-                          nodes: int = _PT_NODES) -> tuple[float, float]:
+def extended_master_parts(d: int, k: int, eps, nodes: int = _PT_NODES):
     """The two summands T1 + T2 = chi_{d,k}(eps), for integers d >= 1 and
-    k >= 0 and eps in [0, 1].
+    k >= 0 and eps in [0, 1], an array or a scalar (then two floats).
 
     The constrained unit-cube integral splits along r23 = eps r14.  T1,
     region A (r23 <= eps r14, where the state's own constraint binds), is
@@ -178,24 +177,31 @@ def extended_master_parts(d: int, k: int, eps: float,
     transpose's binds), is integrated over Y = r14 r23 in
     [eps r14^2, eps r14], r14 in [0, 1], for every d: the one orientation
     that reproduces the k = 0 half-identity, each part then half the d-th
-    master formula.  Its innermost coordinate has a closed binomial
-    antiderivative; the 2D rest takes a tensor Gauss-Legendre rule of
-    ``nodes`` per axis.
+    master formula.  With r23 = eps sigma, r = r14, it runs over the
+    triangle 0 <= r <= sigma <= 1.  The innermost integral, over r24^2 in
+    [0, b] with b <= a, is one regularized incomplete beta,
+    (1/2) a^(k+d/2) B(d/2, k+1) I_{b/a}(d/2, k+1).  For odd d, b holds the
+    one half power, (1 - sigma)^(1/2): sigma takes Gauss-Jacobi with that
+    weight (Gauss-Legendre for even d), and r Gauss-Legendre on [0, sigma],
+    ``nodes`` each (:func:`chi_numeric` states the accuracy).
     """
-    k = _numeric_k(k, eps)
-    return master_term(d, k, eps), _pt_region(d, k, eps, nodes) / _chi_norm(d, k)
+    t1 = master_term(d, _numeric_k(k), eps)  # refuses d and eps outside the domain
+    t2 = _pt_region(d, int(k), np.ravel(eps).astype(float), nodes).reshape(np.shape(eps))
+    return (t1, float(t2)) if np.ndim(eps) == 0 else (t1, t2)
 
 
-def chi_numeric(d: int, k: int, eps: float, nodes: int = _PT_NODES) -> float:
+def chi_numeric(d: int, k: int, eps, nodes: int = _PT_NODES):
     """chi_{d,k}(eps) as the sum of :func:`extended_master_parts`, clipped to
-    at most 1, as a probability is.
+    at most 1, as a probability is; a float for a scalar eps.
 
-    Even d makes the region-B integrand polynomial, so the rule converges
-    to roundoff.  Odd d leaves the factor (1 - r)^(1/2) (1 - c)^(1/2) in it,
-    and the error falls only algebraically in ``nodes`` (about 1e-7 at 120).
+    At the default nodes, on 201 eps in [0, 1], d = 2 is within 5e-14 of
+    the catalog for k <= 60; at small eps the sigma axis resolves less as k
+    grows (5.8e-12 at k = 90, 1.3e-9 at k = 120, near eps = 0.1).  At k = 0,
+    d = 1, 3 and 5 are within 1e-15 of the master formula to eps = 0.95,
+    and d = 1 within 2.7e-10 at eps = 1 - 3.9e-8.
     """
     t1, t2 = extended_master_parts(d, k, eps, nodes)
-    return min(t1 + t2, 1.0)
+    return min(t1 + t2, 1.0) if np.ndim(eps) == 0 else np.minimum(t1 + t2, 1.0)
 
 
 # chi_{d,k} by the extended master decomposition is chi_numeric
@@ -207,7 +213,8 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
     """Quasi-random 3D oracle for chi_{d,k}(eps): the raw constrained
     integral over [0,1]^3, no reduction.  Accuracy ~1e-3; retained as an
     independent cross-check of the deterministic path."""
-    k = _numeric_k(k, eps)
+    k = _numeric_k(k)
+    _eps_domain(eps)
     if eps == 0.0:
         return 0.0
     # imported here: scipy.stats costs ~1 s, and only this oracle needs it
@@ -220,4 +227,4 @@ def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
     b = (1.0 - (eps * r14) ** 2) * (1.0 - (r23 / eps) ** 2)
     feasible = (r24 * r24 < a) & (r24 * r24 < b) & (r23 < eps)
     weight = (r14 * r23 * r24) ** (d - 1) * np.clip(a - r24 * r24, 0.0, None) ** k
-    return float(np.mean(np.where(feasible, weight, 0.0))) / _chi_norm(d, k)
+    return float(np.mean(np.where(feasible, weight, 0.0))) / math.exp(_log_chi_norm(d, k))

@@ -435,6 +435,24 @@ def test_master_term_odd_d_matches_mpmath_3f2(d, k):
     assert np.array_equal(master_term(d, k, np.array([0.0, 1.0])), [0.0, 0.5])
 
 
+def test_master_term_odd_d_at_large_k():
+    # d + k >= 99 overflowed (d+k)!^2 as a float; the series' terms leave
+    # float64's range only from k = 170 at d = 1
+    with mpmath.workdps(50):
+        h = mpmath.mpf(1) / 2
+        scale = (mpmath.factorial(101) ** 2
+                 / (2 * mpmath.gamma(h + 1) ** 2 * mpmath.gamma(h + 101)
+                    * mpmath.gamma(3 * h + 101)))
+        for eps in (0.3, 0.7, 0.95):
+            e = mpmath.mpf(eps)
+            ref = e * scale * mpmath.hyp3f2(-h - 100, h, 1, h + 1, 3 * h + 101, e * e)
+            got = master_term(1, 100, eps)
+            assert abs(got - ref) <= 1e-13 * ref, (eps, got, ref)
+    for d, k in [(1, 170), (1, 400), (101, 0)]:
+        with pytest.raises(ValueError, match="leaves float64's range"):
+            master_term(d, k, 0.5)
+
+
 def _two_rebit_40_digits(eps) -> mpmath.mpf:
     # chi_1(eps) from Li_2 and artanh, the closed form _two_rebit_term sums
     e = mpmath.mpf(eps)

@@ -617,6 +617,16 @@ def test_cli_quadrature_refuses_an_endless_eps_grid():
      "--eta is the two-qubit interpolation; it takes --d 2"),
     (["chi-fit", "--field", "C", "--bins", "10001", "--samples", "100"],
      "at most 10000 bins: each costs one reference chi"),
+    (["quadrature", "--d", "2", "--eta", "2", "--epsilon", "0.5", "--method", "qmc"],
+     "--eta takes no --epsilon, --eps-grid or --method qmc"),
+    (["quadrature", "--d", "2", "--eta", "2", "--eps-grid", "0.2:0.3:0.1"],
+     "--eta takes no --epsilon, --eps-grid or --method qmc"),
+    (["quadrature", "--d", "2", "--epsilon", "0.5", "--eps-grid", "0.2:0.3:0.1"],
+     "--epsilon and --eps-grid exclude each other"),
+    (["quadrature", "--d", "2", "--epsilon", "0.5", "--method", "qmc", "--nodes", "40"],
+     "--method qmc reads no --nodes"),
+    (["quadrature", "--d", "1", "--k", "200", "--epsilon", "0.5"],
+     "the odd-d series of d=1, k=200 leaves float64's range"),
 ])
 def test_cli_refusals_are_usage_errors(argv, message, capsys):
     from sepprob.cli import main
@@ -636,6 +646,21 @@ def test_cli_refused_seed_leaves_no_checkpoint(tmp_path, capsys):
               "--seed", "-1", "--checkpoint", str(ckpt)])
     assert exc.value.code == 2
     assert not ckpt.exists()
+
+
+def test_cli_quadrature_large_k_and_default_rules(capsys):
+    from sepprob import quadrature
+    from sepprob.cli import main
+    # the default grid at k = 120: no gamma function overflows on the way;
+    # the 32-node rule is good to 1.3e-9 here, worst near eps = 0.1
+    main(["quadrature", "--d", "2", "--k", "120"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(float(line.split(",")[3]) < 2e-9 for line in lines[1:])
+    # without --nodes, u(eta) keeps its own 200/120 rule
+    main(["quadrature", "--d", "2", "--eta", "2"])
+    value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+    assert value == quadrature.u_eta(2.0, quadrature.chi_from_catalog(2, 0))
 
 
 def test_cli_quadrature_csv(capsys):

@@ -116,7 +116,7 @@ def test_chi_numeric_monotone_in_k():
 
 def test_chi_numeric_never_exceeds_one():
     # T1 + T2 rounded up to 1 + 9e-14 (d = 13, k = 3) near eps = 1, and to
-    # 1 + 5e-8 at d = 1 (the odd-d rule's error); chi is a probability
+    # 1 + 2.7e-10 at d = 1 (the odd-d rule's error); chi is a probability
     for eps in (1 - 1e-16, 1 - 1e-15, 1 - 1e-13, 1 - 1e-12, 1 - 1e-10, 1.0):
         for d in range(1, 14):
             for k in range(4):
@@ -129,6 +129,36 @@ def test_chi_numeric_odd_d_against_master():
     for eps in (0.3, 0.5, 0.8):
         assert qd.chi_numeric(1, 0, eps, nodes=400) == \
             pytest.approx(master_chi(1, eps), abs=1e-6)
+
+
+def test_chi_numeric_large_k_matches_catalog():
+    # region B's innermost integral is one incomplete beta: no alternating
+    # sum to cancel as k grows, no gamma function to overflow
+    for k in (20, 40, 60, 90):
+        for eps in (0.3, 0.8, 0.999):
+            assert abs(qd.chi_numeric(2, k, eps) - chi_catalog(2, k, eps)) < 1e-12, (k, eps)
+
+
+def test_chi_numeric_array_equals_scalar_calls():
+    rng = np.random.default_rng(21)
+    # more values than one vectorised step of the region-B rule holds
+    eps = np.concatenate([rng.random(300), [0.0, 0.5, 1.0]])
+    for d, k in [(1, 0), (1, 2), (2, 3), (3, 1), (4, 1)]:
+        whole = qd.chi_numeric(d, k, eps)
+        one_by_one = np.array([qd.chi_numeric(d, k, float(e)) for e in eps])
+        assert np.array_equal(whole, one_by_one), (d, k)
+        t1, t2 = qd.extended_master_parts(d, k, eps.reshape(-1, 3))
+        assert t1.shape == t2.shape == (101, 3)
+        assert np.array_equal(np.minimum(t1 + t2, 1.0).ravel(), whole)
+    assert type(qd.chi_numeric(2, 1, 0.5)) is float
+    assert all(type(t) is float for t in qd.extended_master_parts(1, 1, 0.5))
+
+
+def test_chi_numeric_odd_d_against_master_formula():
+    # the Gauss-Jacobi axis absorbs the one half power of odd d
+    for d in (1, 3, 5):
+        for eps in (0.05, 0.3, 0.5, 0.8, 0.9, 0.95):
+            assert abs(qd.chi_numeric(d, 0, eps) - master_chi(d, eps)) < 1e-13, (d, eps)
 
 
 def test_chi_numeric_qmc_oracle_agrees():
