@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import spence
 
 from .. import hyper
@@ -289,13 +290,13 @@ def master_term(d: int, k: int, eps):
     ``quadrature.extended_master_parts``, and at k = 0 half of
     :func:`master_chi`.  Even d terminates (Horner's rule over
     :func:`master_chi_coefficients`).  The two-rebit term, d = 1 and
-    k = 0, has a closed form on 1/4 <= eps < 1 (:func:`_two_rebit_term`).
-    Every other odd d and k, and d = 1, k = 0 below 1/4, is summed for
-    eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`.  At k = 0, against
-    the tests' 50-digit values (to eps = 0.999999 at d = 1, 3, 1 - 1e-12
-    above), its worst relative errors were 8.4e-16 (d = 1, 3), 8.9e-16 (5),
-    1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and 8.5e-14 (13).  At eps = 1
-    the series is the well-poised 3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
+    k = 0, is :func:`_two_rebit_term` on all of [0, 1).  Every other odd
+    d and k is summed for eps < 1 by :func:`sepprob.hyper.hyp3f2_reg_series`.
+    At k = 0, against the tests' 50-digit values (to eps = 0.999999 at
+    d = 1, 3, 1 - 1e-12 above), its worst relative errors were 8.4e-16
+    (d = 1, 3), 8.9e-16 (5), 1.8e-15 (7), 1.0e-14 (9), 2.5e-14 (11) and
+    8.5e-14 (13).  At eps = 1 the series is the well-poised
+    3F2(d, d/2, -d/2-k; 1 + d/2, 1 + 3d/2 + k; 1),
     which Dixon's theorem sums so that the term is exactly 1/2 for all (d, k).
     The term never decreases in eps (its region grows), so it is clipped at
     1/2, which rounding exceeds just below eps = 1 (by up to 1.6e-13).  An
@@ -311,13 +312,11 @@ def master_term(d: int, k: int, eps):
     eps_arr, scalar = _eps_domain(eps)
     out = np.full_like(eps_arr, 0.5)  # Dixon's sum at eps = 1
     summed = eps_arr < 1.0
-    if (d, k) == (1, 0):
-        closed = summed & (eps_arr >= _TWO_REBIT_CLOSED_FROM)
-        out[closed] = _two_rebit_term(eps_arr[closed])
-        summed &= ~closed
     e = eps_arr[summed]
     e2 = e * e
-    if d % 2 == 0:
+    if (d, k) == (1, 0):
+        out[summed] = _two_rebit_term(e)
+    elif d % 2 == 0:
         acc = np.zeros_like(e2)
         for c in reversed(master_chi_coefficients(d, k)):
             acc = acc * e2 + float(c / 2)
@@ -339,21 +338,31 @@ def master_term(d: int, k: int, eps):
     return float(out) if scalar else out
 
 
-# below it the subtraction in _two_rebit_term loses more than the series' 1e-15
-_TWO_REBIT_CLOSED_FROM = 0.25
+# below it the subtraction in the closed form loses digits, and the Maclaurin
+# polynomial's first _TWO_REBIT_TERMS terms leave a tail under 1.5e-17 relative
+_TWO_REBIT_CLOSED_FROM, _TWO_REBIT_TERMS = 0.25, 10
+_TWO_REBIT_COEFFS = [float(Fraction(1, (1 - 2 * n) * (2 * n + 1) ** 2 * (2 * n + 3)))
+                     for n in range(_TWO_REBIT_TERMS)]
 
 
 def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
-    """master_term(1, 0, eps) in closed form, for eps in [1/4, 1):
+    """master_term(1, 0, eps) for eps in [0, 1), in closed form:
 
-        (1/pi^2) [4 chi_2(eps) + ((1 - eps^2)/eps) ((1 + eps^2) artanh(eps)/eps - 1)],
+        (16/pi^2) eps sum_n eps^(2n) / ((1 - 2n) (2n + 1)^2 (2n + 3))
+          = (1/pi^2) [4 chi_2(eps) + ((1 - eps^2)/eps) ((1 + eps^2) artanh(eps)/eps - 1)],
 
     with Legendre's chi_2(x) = (Li_2(x) - Li_2(-x))/2 = sum x^m/m^2 over odd
-    m, and Li_2(x) = spence(1 - x).
+    m, and Li_2(x) = spence(1 - x).  Below 1/4 the Maclaurin polynomial is
+    summed by Horner's rule: with z = eps^2 <= 1/16 the sum is at least 0.33
+    and its tail past n = N at most |r_N| z^N/(1 - z), so 10 terms leave
+    under 1.5e-17 of it; the tests hold it to 1e-15 of 50-digit 3F2 values
+    (2.4e-16 measured).  From 1/4 up the artanh form serves, within 2e-15
+    of 40-digit values.
 
     Proof.  Gamma(3/2)^2 = pi/4 makes the scale 2/pi, and the n-th term of
     3F2_reg(-1/2, 1/2, 1; 3/2, 5/2; eps^2) is
-    -8 eps^(2n) / (pi (2n-1) (2n+1)^2 (2n+3)).  With m = 2n + 1,
+    -8 eps^(2n) / (pi (2n-1) (2n+1)^2 (2n+3)), which gives the sum.  With
+    m = 2n + 1,
 
         1/((m-2) m^2 (m+2)) = 1/(16 (m-2)) - 1/(16 (m+2)) - 1/(4 m^2),
 
@@ -364,9 +373,15 @@ def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
     subtraction, (1 + eps^2) artanh(eps)/eps - 1 >= 4 eps^2/3, is well
     conditioned for eps >= 1/4.
     """
-    chi2 = (spence(1.0 - eps) - spence(1.0 + eps)) / 2
-    rest = (1.0 - eps * eps) / eps * ((1.0 + eps * eps) * np.arctanh(eps) / eps - 1.0)
-    return (4.0 * chi2 + rest) / math.pi ** 2
+    out = np.empty_like(eps)
+    small = eps < _TWO_REBIT_CLOSED_FROM
+    e = eps[small]
+    out[small] = 16.0 / math.pi ** 2 * e * polyval(e * e, _TWO_REBIT_COEFFS)
+    e = eps[~small]
+    chi2 = (spence(1.0 - e) - spence(1.0 + e)) / 2
+    rest = (1.0 - e * e) / e * ((1.0 + e * e) * np.arctanh(e) / e - 1.0)
+    out[~small] = (4.0 * chi2 + rest) / math.pi ** 2
+    return out
 
 
 def master_chi(d: int, eps):

@@ -5,10 +5,10 @@ to order k, does not terminate for odd division-ring dimension d, so its
 series is summed over an array of arguments in [0, 1).  Three parts of it
 have closed forms instead: the z = 1 endpoint (Dixon's theorem), the
 terminating even-d series (exact coefficients, ``master_chi_coefficients``)
-and the two-rebit term, d = 1 and k = 0, on eps >= 1/4 (artanh and
-Legendre's chi_2).  The series serves every other odd (d, k), the
-two-rebit term below eps = 1/4, and the tests as the reference that the
-two-rebit closed form is pinned to.
+and the two-rebit term, d = 1 and k = 0, on all of [0, 1) (its Maclaurin
+polynomial below eps = 1/4, artanh and Legendre's chi_2 from there).  The
+series serves every other odd (d, k), and the tests as the reference that
+the two-rebit closed form is pinned to.
 
 The series is summed a block of terms per numpy step, not a term per
 Python step.  Inside a block a cumulative product of ratio*z gives the

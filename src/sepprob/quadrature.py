@@ -9,7 +9,8 @@ Three integration problems live here:
   the extended master decomposition: the closed term (half the order-k
   master 3F2, ``exactmath.formulas.master_term``) plus the integral over
   the region where the partial transpose's positivity constraint binds,
-  its innermost variable in closed (incomplete-beta) form, on a triangle;
+  its innermost variable in closed form (a finite positive sum), on a
+  triangle;
 * a quasi-random 3D oracle of the raw constrained integral.
 
 Endpoint weight singularities (fractional exponents > -1) are absorbed by
@@ -22,10 +23,11 @@ takes.  A chi function is any callable of eps, vectorised over arrays.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 from .exactmath import chi_catalog, master_chi
 from .exactmath.formulas import _eps_domain, master_term
@@ -40,8 +42,7 @@ def chi_from_catalog(d: int, k):
 
 def chi_from_master(d: int):
     """The (k = 0) master formula as a function of eps: a polynomial for
-    even d, and for odd d the 3F2 series, save d = 1 on eps >= 1/4, which
-    is in closed form."""
+    even d, a closed form at d = 1, and the 3F2 series for other odd d."""
     return lambda e: master_chi(d, e)
 
 
@@ -145,22 +146,44 @@ def _numeric_k(k) -> int:
 _PT_NODES, _PT_CHUNK = 32, 1 << 18
 
 
+def _beta_lower(d: int, k: int, a, b, gap):
+    """a^(k+d/2) I_{b/a}(d/2, k+1) for 0 <= b <= a, a > 0, with gap = a - b:
+
+        b^(d/2) sum_{j=0..k} ((d/2)_j / j!) a^(k-j) gap^j,
+
+    the regularized incomplete beta of integer second parameter as a finite
+    sum.  Given gap computed directly, every term is nonnegative, so the sum
+    cannot cancel at any k.
+    """
+    c = [Fraction(1)]
+    for j in range(k):
+        c.append(c[-1] * Fraction(d + 2 * j, 2 * j + 2))
+    x, acc = gap / a, np.zeros_like(a)
+    for cj in reversed(c):  # Horner's rule in place: polyval's temporaries cost 3x
+        acc *= x
+        acc += float(cj)
+    return a ** k * b ** (d / 2) * acc
+
+
 def _pt_region(d: int, k: int, eps: np.ndarray, nodes: int) -> np.ndarray:
     """T2 of :func:`extended_master_parts` at each eps of a 1D array."""
     alpha = 0.5 * (d % 2)
-    x, wx = _gj(nodes, alpha, 0.0)
+    x, wx = _gj(nodes * (1 + k // 64), alpha, 0.0)  # the turn near sigma ~ 1/sqrt(k)
     s = (x[:, None] + 1.0) / 2.0
     t, wt = _gl01(nodes)
     w = (wx[:, None] * 2.0 ** (-1.0 - alpha) * (1.0 - s) ** -alpha * s * wt
          * (s * s * t) ** (d - 1)).ravel()
     r2, s2 = ((s * t) ** 2).ravel(), np.repeat(s * s, nodes)
+    s2_r2 = (s * s * (1.0 - t * t)).ravel()
     out = np.empty_like(eps)
     step = max(_PT_CHUNK // w.size, 1)
     for lo in range(0, eps.size, step):
         e2 = eps[lo:lo + step, None] ** 2
-        a = (1.0 - r2) * (1.0 - e2 * s2)
-        b_over_a = np.minimum((1.0 - e2 * r2) * (1.0 - s2) / a, 1.0)  # b <= a, up to rounding
-        out[lo:lo + step] = np.sum(a ** (k + d / 2) * betainc(d / 2, k + 1, b_over_a) * w, axis=1)
+        # a - b = (sigma^2 - r^2)(1 - eps^2), taken as a product: never negative
+        inner = _beta_lower(d, k, (1.0 - r2) * (1.0 - e2 * s2), (1.0 - e2 * r2) * (1.0 - s2),
+                            s2_r2 * (1.0 - e2))
+        inner *= w
+        out[lo:lo + step] = inner.sum(axis=1)
     # (1/2) B(d/2, k+1) over the normalizing constant
     log_c = (math.lgamma(d / 2) + math.lgamma(k + 1) - math.lgamma(d / 2 + k + 1)
              - math.log(2.0) - _log_chi_norm(d, k))
@@ -179,11 +202,13 @@ def extended_master_parts(d: int, k: int, eps, nodes: int = _PT_NODES):
     that reproduces the k = 0 half-identity, each part then half the d-th
     master formula.  With r23 = eps sigma, r = r14, it runs over the
     triangle 0 <= r <= sigma <= 1.  The innermost integral, over r24^2 in
-    [0, b] with b <= a, is one regularized incomplete beta,
-    (1/2) a^(k+d/2) B(d/2, k+1) I_{b/a}(d/2, k+1).  For odd d, b holds the
-    one half power, (1 - sigma)^(1/2): sigma takes Gauss-Jacobi with that
-    weight (Gauss-Legendre for even d), and r Gauss-Legendre on [0, sigma],
-    ``nodes`` each (:func:`chi_numeric` states the accuracy).
+    [0, b] with b <= a, is (1/2) a^(k+d/2) B(d/2, k+1) I_{b/a}(d/2, k+1),
+    whose incomplete beta is a finite sum of k + 1 nonnegative terms
+    (:func:`_beta_lower`).  For odd d, b holds the one half power,
+    (1 - sigma)^(1/2): sigma takes Gauss-Jacobi with that weight
+    (Gauss-Legendre for even d), and r Gauss-Legendre on [0, sigma],
+    ``nodes`` each, sigma ``nodes`` times 1 + k // 64 (:func:`chi_numeric`
+    states the accuracy).
     """
     t1 = master_term(d, _numeric_k(k), eps)  # refuses d and eps outside the domain
     t2 = _pt_region(d, int(k), np.ravel(eps).astype(float), nodes).reshape(np.shape(eps))
@@ -195,10 +220,10 @@ def chi_numeric(d: int, k: int, eps, nodes: int = _PT_NODES):
     at most 1, as a probability is; a float for a scalar eps.
 
     At the default nodes, on 201 eps in [0, 1], d = 2 is within 5e-14 of
-    the catalog for k <= 60; at small eps the sigma axis resolves less as k
-    grows (5.8e-12 at k = 90, 1.3e-9 at k = 120, near eps = 0.1).  At k = 0,
-    d = 1, 3 and 5 are within 1e-15 of the master formula to eps = 0.95,
-    and d = 1 within 2.7e-10 at eps = 1 - 3.9e-8.
+    the catalog for k <= 60 and within 2e-13 at k = 90 and 120, where the
+    sigma axis has twice the nodes.  At k = 0, d = 1, 3 and 5 are within
+    1.2e-15 of the master formula to eps = 0.95, and d = 1 within 2.7e-10
+    at eps = 1 - 3.9e-8.
     """
     t1, t2 = extended_master_parts(d, k, eps, nodes)
     return min(t1 + t2, 1.0) if np.ndim(eps) == 0 else np.minimum(t1 + t2, 1.0)

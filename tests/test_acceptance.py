@@ -111,13 +111,15 @@ def test_criterion_03_quadrature_identities():
                - (21 * math.pi - 64) / (21 * math.pi)) < 1e-8
     # quadrature legs: chi_numeric itself through the ordered-square integral
     for d, k, exact, tol in [(1, 0, p_2rebits(0), 1e-9), (1, 1, p_2rebits(1), 1e-11),
-                             (4, 2, p_2quaterbits(2), 1e-13)]:
+                             (4, 2, p_2quaterbits(2), 1e-13), (1, 2, p_2rebits(2), 1e-13),
+                             (1, 3, p_2rebits(3), 1e-13), (1, 4, p_2rebits(4), 1e-13)]:
         got = qd.sep_prob_general(d, k, partial(qd.chi_numeric, d, k),
                                   n_outer=100, n_inner=60)
         assert abs(got - float(exact)) < tol, (d, k, got)
     announce(3, "61/143, 259/442, 3736/22287, u(2), u(-1/2), u(1), u(-1), "
-                "and the k=-5/2 variant all within 1e-8; p_2rebits(0, 1) and "
-                "p_2quaterbits(2) from chi_numeric within 1e-9, 1e-11, 1e-13")
+                "and the k=-5/2 variant all within 1e-8; p_2rebits(0), p_2rebits(1) "
+                "from chi_numeric within 1e-9, 1e-11; p_2quaterbits(2) and "
+                "p_2rebits(2..4) within 1e-13")
 
 
 def test_criterion_04_master_formula_equivalence():

@@ -402,7 +402,7 @@ def test_master_chi_odd_array_equals_scalar_calls():
     rng = np.random.default_rng(7)
     # three chunks once sorted at d = 3: the arguments near 1, which need up
     # to about 7,700 terms, lie on both sides of the second boundary; at
-    # d = 1 only the 13 below 1/4 reach the series, the rest the closed form
+    # d = 1 every eps takes the closed form, the polynomial below 1/4
     eps = np.sqrt(np.concatenate([
         rng.random(SERIES_CHUNK + 37),
         1.0 - 10.0 ** rng.uniform(-6, -1, SERIES_CHUNK - 11),
@@ -488,7 +488,27 @@ def test_two_rebit_closed_form_meets_the_series_at_one_quarter():
                                                  np.array([eps * eps]))[0]
         closed = _two_rebit_term(np.array([eps]))[0]
         assert abs(closed - series) <= 2e-15 * series
-        assert master_term(1, 0, eps) == (closed if eps == 0.25 else series)
+        assert master_term(1, 0, eps) == closed
+
+
+def test_two_rebit_maclaurin_polynomial_matches_50_digit_3f2():
+    from sepprob.exactmath.formulas import _TWO_REBIT_TERMS
+    # the tail past the kept terms, |r_N| z^N / (1 - z) at z = 1/16, over
+    # the sum's lower bound 0.33, is below a quarter of float64's roundoff
+    n = _TWO_REBIT_TERMS
+    r_n = Fraction(1, abs((1 - 2 * n) * (2 * n + 1) ** 2 * (2 * n + 3)))
+    assert r_n * Fraction(1, 16) ** n / Fraction(15, 16) / Fraction(33, 100) < Fraction(1, 2 ** 55)
+    # the 3F2 itself, not the artanh form, which cancels at tiny eps
+    rng = np.random.default_rng(22)
+    eps = np.concatenate([rng.uniform(0.0, 0.25, 200),
+                          [1e-300, 1e-20, 1e-8, np.nextafter(0.25, 0.0)]])
+    got = master_term(1, 0, eps)
+    with mpmath.workdps(50):
+        h = mpmath.mpf(1) / 2
+        for e, value in zip(eps, got):
+            e = mpmath.mpf(e)
+            ref = 16 * e * mpmath.hyp3f2(-h, h, 1, h + 1, 3 * h + 1, e * e) / (3 * mpmath.pi ** 2)
+            assert abs(value - ref) <= 1e-15 * ref, (e, value)
 
 
 def test_two_rebit_partial_fractions():

@@ -651,12 +651,13 @@ def test_cli_refused_seed_leaves_no_checkpoint(tmp_path, capsys):
 def test_cli_quadrature_large_k_and_default_rules(capsys):
     from sepprob import quadrature
     from sepprob.cli import main
-    # the default grid at k = 120: no gamma function overflows on the way;
-    # the 32-node rule is good to 1.3e-9 here, worst near eps = 0.1
+    # the default grid at k = 120: no gamma function overflows on the way,
+    # and the sigma axis, with twice the nodes from k = 64, resolves the
+    # integrand's turn near sigma ~ 1/sqrt(k)
     main(["quadrature", "--d", "2", "--k", "120"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11
-    assert all(float(line.split(",")[3]) < 2e-9 for line in lines[1:])
+    assert all(float(line.split(",")[3]) < 1e-12 for line in lines[1:])
     # without --nodes, u(eta) keeps its own 200/120 rule
     main(["quadrature", "--d", "2", "--eta", "2"])
     value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])

@@ -132,11 +132,27 @@ def test_chi_numeric_odd_d_against_master():
 
 
 def test_chi_numeric_large_k_matches_catalog():
-    # region B's innermost integral is one incomplete beta: no alternating
-    # sum to cancel as k grows, no gamma function to overflow
-    for k in (20, 40, 60, 90):
-        for eps in (0.3, 0.8, 0.999):
+    # region B's innermost integral is a finite sum of nonnegative terms:
+    # nothing to cancel as k grows, no gamma function to overflow; from
+    # k = 64 the sigma axis takes more nodes, and 0.1 is near the worst eps
+    for k in (20, 40, 60, 90, 120):
+        for eps in (0.1, 0.3, 0.8, 0.999):
             assert abs(qd.chi_numeric(2, k, eps) - chi_catalog(2, k, eps)) < 1e-12, (k, eps)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 20, 120])
+def test_region_b_finite_sum_matches_betainc(k):
+    # scipy's incomplete beta as the oracle of the finite sum that replaced it
+    from scipy.special import betainc
+    rng = np.random.default_rng([22, k])
+    a = np.concatenate([rng.random(400), [1.0, 1.0, 0.5]])
+    b = a * np.concatenate([rng.random(400), [0.0, 1.0, 1.0]])
+    for d in range(1, 7):
+        got = qd._beta_lower(d, k, a, b, a - b)
+        ref = a ** (k + d / 2) * betainc(d / 2, k + 1, b / a)
+        normal = ref > 1e-280  # the relative error of a subnormal product means nothing
+        assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-13 * ref[normal]), (d, k)
+        assert np.all(got[~normal] < 1e-270), (d, k)
 
 
 def test_chi_numeric_array_equals_scalar_calls():
