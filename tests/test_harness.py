@@ -76,15 +76,20 @@ def test_wald_ci_validation():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats is most of the package's import time; only the QMC
-    # oracle needs it, and it imports it on first call
-    code = "import sys, sepprob; print('scipy.stats' in sys.modules)"
+    # scipy.stats is most of the package's import time; nothing needs it,
+    # the QMC oracle (called directly and through the CLI) included
+    code = textwrap.dedent("""\
+        import sys, sepprob
+        from sepprob.cli import main
+        sepprob.quadrature.chi_numeric_qmc(2, 1, 0.5, n_points=64)
+        main(["quadrature", "--d", "2", "--k", "1", "--epsilon", "0.5", "--method", "qmc"])
+        print('scipy.stats' in sys.modules)""")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.splitlines()[-1] == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +667,16 @@ def test_cli_quadrature_large_k_and_default_rules(capsys):
     main(["quadrature", "--d", "2", "--eta", "2"])
     value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
     assert value == quadrature.u_eta(2.0, quadrature.chi_from_catalog(2, 0))
+
+
+def test_cli_quadrature_qmc_grid_is_one_array_call(capsys):
+    from sepprob import quadrature
+    from sepprob.cli import main
+    main(["quadrature", "--d", "2", "--k", "1", "--method", "qmc", "--eps-grid", "0.2:0.8:0.3"])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    want = quadrature.chi_numeric_qmc(2, 1, np.array([0.2, 0.5, 0.8]))
+    assert [float(line.split(",")[0]) for line in lines] == [0.2, 0.5, 0.8]
+    assert [float(line.split(",")[1]) for line in lines] == want.tolist()
 
 
 def test_cli_quadrature_csv(capsys):

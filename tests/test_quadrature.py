@@ -1,6 +1,7 @@
 """Integration engine: probability ratios, chi_numeric, extended master."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,49 @@ def test_chi_numeric_qmc_oracle_agrees():
     for (d, k, eps) in [(2, 0, 0.5), (2, 1, 0.5), (4, 0, 0.7), (2, 2, 0.9)]:
         v = qd.chi_numeric_qmc(d, k, eps)
         assert v == pytest.approx(chi_catalog(d, k, eps), abs=1e-3)
+
+
+def test_chi_numeric_qmc_seed_scatter():
+    # 24 digital shifts at the oracle test's four points: each within 2e-3
+    # of the catalog, and their root-mean-square error within 8e-4
+    for (d, k, eps) in [(2, 0, 0.5), (2, 1, 0.5), (4, 0, 0.7), (2, 2, 0.9)]:
+        err = np.array([qd.chi_numeric_qmc(d, k, eps, seed=s) for s in range(1001, 1025)]) \
+            - chi_catalog(d, k, eps)
+        assert np.max(np.abs(err)) < 2e-3, (d, k, eps)
+        assert np.sqrt(np.mean(err ** 2)) < 8e-4, (d, k, eps)
+
+
+def test_sobol_words_match_scipy_unscrambled():
+    from scipy.stats import qmc
+    for m in (1, 10, 14):
+        ours = qd._sobol_words(2 ** m) / 2.0 ** 30
+        theirs = qmc.Sobol(d=3, scramble=False).random(2 ** m)
+        assert set(map(tuple, ours.T)) == set(map(tuple, theirs)), m
+
+
+def test_chi_numeric_qmc_refuses_bad_n_points():
+    # refused before any point is allocated; 2^30 is the words' resolution
+    for n in (0, -1, 2.5, 64.0, (1 << 30) + 1):
+        with pytest.raises(ValueError, match="n_points"):
+            qd.chi_numeric_qmc(2, 0, 0.5, n_points=n)
+
+
+def test_chi_numeric_qmc_tiny_eps_raises_no_warning():
+    # the eps constraint is tested without dividing by eps, which overflowed;
+    # no point has r23 below 2^-31, so none is feasible
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1e-300, 1e-160):
+            assert qd.chi_numeric_qmc(2, 0, eps, n_points=4096) == 0.0, eps
+
+
+def test_chi_numeric_qmc_array_equals_scalar_calls():
+    eps = np.array([[0.0, 0.2, 0.5], [0.7, 0.9, 1.0]])
+    got = qd.chi_numeric_qmc(2, 1, eps, n_points=4096, seed=7)
+    assert got.shape == eps.shape
+    assert got.tolist() == [[qd.chi_numeric_qmc(2, 1, e, n_points=4096, seed=7) for e in row]
+                            for row in eps.tolist()]
+    assert type(qd.chi_numeric_qmc(2, 1, 0.5, n_points=64)) is float
 
 
 def test_chi_xstate():
