@@ -16,7 +16,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import spence
 
 from .. import hyper
 from .values import PiRational
@@ -352,12 +351,12 @@ def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
           = (1/pi^2) [4 chi_2(eps) + ((1 - eps^2)/eps) ((1 + eps^2) artanh(eps)/eps - 1)],
 
     with Legendre's chi_2(x) = (Li_2(x) - Li_2(-x))/2 = sum x^m/m^2 over odd
-    m, and Li_2(x) = spence(1 - x).  Below 1/4 the Maclaurin polynomial is
+    m (:func:`_legendre_chi2`).  Below 1/4 the Maclaurin polynomial is
     summed by Horner's rule: with z = eps^2 <= 1/16 the sum is at least 0.33
     and its tail past n = N at most |r_N| z^N/(1 - z), so 10 terms leave
     under 1.5e-17 of it; the tests hold it to 1e-15 of 50-digit 3F2 values
     (2.4e-16 measured).  From 1/4 up the artanh form serves, within 2e-15
-    of 40-digit values.
+    of 40-digit values (8.4e-16 measured).
 
     Proof.  Gamma(3/2)^2 = pi/4 makes the scale 2/pi, and the n-th term of
     3F2_reg(-1/2, 1/2, 1; 3/2, 5/2; eps^2) is
@@ -378,10 +377,31 @@ def _two_rebit_term(eps: np.ndarray) -> np.ndarray:
     e = eps[small]
     out[small] = 16.0 / math.pi ** 2 * e * polyval(e * e, _TWO_REBIT_COEFFS)
     e = eps[~small]
-    chi2 = (spence(1.0 - e) - spence(1.0 + e)) / 2
     rest = (1.0 - e * e) / e * ((1.0 + e * e) * np.arctanh(e) / e - 1.0)
-    out[~small] = (4.0 * chi2 + rest) / math.pi ** 2
+    out[~small] = (4.0 * _legendre_chi2(e) + rest) / math.pi ** 2
     return out
+
+
+def _legendre_chi2(x: np.ndarray) -> np.ndarray:
+    """Legendre's chi_2(x) = sum x^m/m^2 over odd m, for x in (0, 1).
+
+    Above sqrt(2) - 1 Landen's identity
+
+        chi_2(x) = pi^2/8 + (1/2) ln x ln((1 + x)/(1 - x)) - chi_2((1 - x)/(1 + x))
+
+    maps x to (1 - x)/(1 + x) < sqrt(2) - 1, so the series only runs at
+    z <= sqrt(2) - 1, where its terms past m = 39 are under 2e-18 of the
+    sum: 20 terms by Horner's rule in z^2.  On [1/4, 1 - 1e-12] it is within
+    1e-15 relative of 40-digit values (5.6e-16 measured).
+    """
+    landen = x > 0.4142135623730951
+    z = np.where(landen, (1.0 - x) / (1.0 + x), x)
+    z2, acc = z * z, np.full_like(z, 1.0 / 39 ** 2)
+    for m in range(37, 0, -2):  # in place: 40 passes over the array
+        acc *= z2
+        acc += 1.0 / (m * m)
+    acc *= z
+    return np.where(landen, math.pi ** 2 / 8 + np.log(x) * np.arctanh(x) - acc, acc)
 
 
 def master_chi(d: int, eps):

@@ -27,13 +27,11 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import zip_longest
 
 import mpmath
 import numpy as np
-import scipy
-from scipy.special import betaincinv, ndtri
 
 from .criteria import classify_blocks, classify_x_states, ppt_blocks
 from .exactmath import CatalogMiss, chi_catalog, is_prime
@@ -70,7 +68,6 @@ def build_info() -> dict:
     return {
         "sepprob": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "mpmath": mpmath.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -376,18 +373,62 @@ def wald_ci(samples: int, hits: int) -> tuple[float, float]:
 
     The Wald form p +- z sqrt(p(1-p)/n) reproduces the published intervals;
     with fewer than 30 hits (or misses) it degenerates, so the exact
-    Clopper-Pearson interval (beta quantiles) is substituted there.
+    Clopper-Pearson interval is substituted there.  Its ends solve
+    P(Bin(n, x) >= h) = alpha/2 and P(Bin(n, x) <= h) = alpha/2; with h the
+    fewer of hits and misses (x -> 1 - x swaps them) each is a binomial sum
+    of at most 30 terms (:func:`_binom_cdf_root`).
     """
     if samples < 1 or not 0 <= hits <= samples:
         raise ValueError("need 0 <= hits <= samples, samples >= 1")
     alpha = 1.0 - CI_LEVEL
     if hits < CP_FALLBACK_HITS or samples - hits < CP_FALLBACK_HITS:
-        lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
-        hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
-        return lo, hi
+        h = min(hits, samples - hits)
+        lo = 0.0 if h == 0 else _binom_cdf_root(samples, h - 1, 1.0 - alpha / 2)
+        hi = _binom_cdf_root(samples, h, alpha / 2)
+        return (lo, hi) if h == hits else (1.0 - hi, 1.0 - lo)
     p = hits / samples
-    half = float(ndtri(1.0 - alpha / 2)) * math.sqrt(p * (1.0 - p) / samples)
+    half = _normal_quantile(1.0 - alpha / 2) * math.sqrt(p * (1.0 - p) / samples)
     return p - half, p + half
+
+
+@lru_cache(maxsize=None)
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile at p, correctly rounded (30-digit mpmath)."""
+    with mpmath.workdps(30):
+        return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
+
+
+def _binom_cdf_root(n: int, m: int, target: float) -> float:
+    """The x in (0, 1) at which P(Bin(n, x) <= m) = target, for 0 <= m < n.
+
+    The probability is the sum of its m + 1 terms C(n, j) x^j (1-x)^(n-j):
+    the first from its logarithm, each next by the ratio
+    (n-j)/(j+1) x/(1-x).  All are positive, so the sum cannot cancel, and
+    near the root (1-x)^n > e^-70, so it does not underflow at n = 2.9e9.
+    The sum is the regularized incomplete beta I_(1-x)(n-m, m+1),
+    log-concave in x, so Newton's method on its logarithm lands right of
+    the root and then falls to it; a step that leaves the bracket of points
+    tried bisects the bracket instead.
+    """
+    lo, hi, x = 0.0, 1.0, (m + 1) / (n + 1)
+    while True:
+        term = cdf = math.exp(n * math.log1p(-x))
+        ratio = x / (1.0 - x)
+        for j in range(m):
+            term *= (n - j) / (j + 1) * ratio
+            cdf += term
+        if cdf > target:
+            lo = x
+        else:
+            hi = x
+        new = math.nan
+        if term > 0.0:  # d log(cdf)/dx = -(n - m) term / ((1 - x) cdf)
+            new = x + math.log(cdf / target) * (1.0 - x) * cdf / ((n - m) * term)
+        if not lo < new < hi:
+            new = (lo + hi) / 2
+        if abs(new - x) <= 1e-15 * new or new in (lo, hi):
+            return new
+        x = new
 
 
 def _conditional_ci(samples: int, hits: int) -> list[float]:

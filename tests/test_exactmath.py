@@ -477,6 +477,22 @@ def test_two_rebit_closed_form_matches_40_digit_values():
             assert abs(value - ref) / ref <= 2e-15, (e, value)
 
 
+def test_legendre_chi2_matches_40_digit_values():
+    # Landen's identity keeps the series at z <= sqrt(2) - 1: within 1e-15
+    # relative on [1/4, 1 - 1e-12], across the switch included
+    from sepprob.exactmath.formulas import _legendre_chi2
+    rng = np.random.default_rng(27)
+    switch = math.sqrt(2) - 1
+    x = np.concatenate([[0.25, switch], np.nextafter(switch, [0.0, 1.0]),
+                        rng.uniform(0.25, 1.0, 300), 1.0 - np.logspace(-12, -1, 60)])
+    got = _legendre_chi2(x)
+    with mpmath.workdps(40):
+        for e, value in zip(x, got):
+            e = mpmath.mpf(e)
+            ref = (mpmath.polylog(2, e) - mpmath.polylog(2, -e)) / 2
+            assert abs(value - ref) <= 1e-15 * ref, (e, value)
+
+
 def test_two_rebit_closed_form_meets_the_series_at_one_quarter():
     from sepprob.exactmath.formulas import _TWO_REBIT_CLOSED_FROM, _two_rebit_term
     from sepprob.hyper import hyp3f2_reg_series
